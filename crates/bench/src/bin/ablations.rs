@@ -14,7 +14,7 @@
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::{scale_forward_model, FwScalingConfig};
-use qugeo::train::{PerSampleVqc, QuBatchVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, QuBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::{build_scaled_triple, cached_dataset, header, rule, Preset};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_qsim::ansatz::EntangleOrder;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             num_blocks: blocks,
             ..VqcConfig::paper_layer_wise()
         })?;
-        let out = Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+        let out = Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
         println!(
             "  {blocks:>6}   {:>6}   {:>7.4}   {:.6}",
             model.num_params(),
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             entangle: EntangleOrder::Ring,
             ..VqcConfig::paper_layer_wise()
         })?;
-        let out = Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+        let out = Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
         println!(
             "  {groups:>6}   {:>6}   {:>6}   {:>7.4}   {:.6}",
             model.data_qubits(),
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let scaled = scale_forward_model(&dataset, &layout, &fw_cfg)?;
         let (tr, te) = scaled.try_split(preset.train_count)?;
         let model = QuGeoVqc::new(VqcConfig::paper_layer_wise())?;
-        let out = Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &tr, &te)?)?;
+        let out = Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &tr, &te, 1)?)?;
         println!("  {hz:>4.0} Hz   {:>7.4}   {:.6}", out.final_ssim, out.final_mse);
     }
 
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = QuGeoVqc::new(VqcConfig::paper_layer_wise())?;
     for batch in [1usize, 2, 4, 8] {
         let out = if batch == 1 {
-            Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?
+            Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?
         } else {
             Trainer::new(train_cfg).fit(&mut QuBatchVqc::new(&model, &train, &test, batch)?)?
         };

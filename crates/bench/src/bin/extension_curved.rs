@@ -16,7 +16,7 @@
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::fw_scale_seismic;
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::{header, rule, Preset};
 use qugeo_geodata::curved::CurvedLayerGenerator;
 use qugeo_geodata::scaling::{ScaledLayout, ScaledSample};
@@ -79,11 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     eprintln!("[curved] training Q-M-LY on flat…");
-    let ly_flat = Trainer::new(cfg).fit(&mut PerSampleVqc::new(&ly, &flat_train, &flat_test)?)?;
+    let ly_flat =
+        Trainer::new(cfg).fit(&mut MiniBatchVqc::new(&ly, &flat_train, &flat_test, 1)?)?;
     eprintln!("[curved] training Q-M-LY on curved…");
-    let ly_curv = Trainer::new(cfg).fit(&mut PerSampleVqc::new(&ly, &curv_train, &curv_test)?)?;
+    let ly_curv =
+        Trainer::new(cfg).fit(&mut MiniBatchVqc::new(&ly, &curv_train, &curv_test, 1)?)?;
     eprintln!("[curved] training Q-M-PX on curved…");
-    let px_curv = Trainer::new(cfg).fit(&mut PerSampleVqc::new(&px, &curv_train, &curv_test)?)?;
+    let px_curv =
+        Trainer::new(cfg).fit(&mut MiniBatchVqc::new(&px, &curv_train, &curv_test, 1)?)?;
 
     rule();
     println!("setting                         SSIM      MSE");

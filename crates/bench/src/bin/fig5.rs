@@ -12,7 +12,7 @@
 //! 0.859 / 0.862 for D-Sample / Q-D-FW / Q-D-CNN.
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::{build_scaled_triple, header, rule, Preset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig5] training Q-M-PX on {label}…");
         let (train, test) = scaled.try_split(preset.train_count)?;
         let outcome =
-            Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+            Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
 
         println!("convergence on {label} (Figures 5b/5c):");
         println!("  epoch   train loss   test SSIM   test MSE");

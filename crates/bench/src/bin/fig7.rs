@@ -13,7 +13,7 @@
 //! points where the physics-guided routes recover 3 interfaces each.
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::report::{analyze, print as print_report};
 use qugeo_bench::{build_scaled_triple, header, rule, Preset};
 
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig7] training Q-M-PX on {label}…");
         let (train, test) = scaled.try_split(preset.train_count)?;
         let outcome =
-            Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+            Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
 
         // The paper visualises one representative test sample.
         let report = analyze(

@@ -12,7 +12,7 @@
 //! Q-D-CNN+LY): +11.6% SSIM, −61.69% MSE.
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::{build_scaled_triple, header, improvement_pct, rule, Preset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let (train, test) = scaled.try_split(preset.train_count)?;
         eprintln!("[fig8] training Q-M-PX on {label}…");
-        let px_out = Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&px, &train, &test)?)?;
+        let px_out = Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&px, &train, &test, 1)?)?;
         eprintln!("[fig8] training Q-M-LY on {label}…");
-        let ly_out = Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&ly, &train, &test)?)?;
+        let ly_out = Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&ly, &train, &test, 1)?)?;
         results.push((
             label,
             (px_out.final_ssim, px_out.final_mse),

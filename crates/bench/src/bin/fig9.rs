@@ -14,7 +14,7 @@
 //! layer ordering.
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::report::{analyze, print as print_report};
 use qugeo_bench::{build_scaled_triple, header, rule, Preset};
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[fig9] training {label}…");
         let (train, test) = scaled.try_split(preset.train_count)?;
         let outcome =
-            Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(model, &train, &test)?)?;
+            Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(model, &train, &test, 1)?)?;
         let report = analyze(
             &format!("{label} (map SSIM {:.4})", outcome.final_ssim),
             model,

@@ -14,7 +14,7 @@
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::qubatch::QuBatch;
-use qugeo::train::{PerSampleVqc, QuBatchVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, QuBatchVqc, TrainConfig, Trainer};
 use qugeo_bench::{build_scaled_triple, header, rule, Preset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for batch in [1usize, 2, 4] {
         eprintln!("[table1] training with batch size {batch}…");
         let outcome = if batch == 1 {
-            Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(&model, &train, &test)?)?
+            Trainer::new(train_cfg).fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?
         } else {
             Trainer::new(train_cfg).fit(&mut QuBatchVqc::new(&model, &train, &test, batch)?)?
         };

@@ -13,7 +13,7 @@
 //! with fewer parameters; Q-M-PX trails slightly.
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
-use qugeo::train::{PerSampleVqc, RegressorStep, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, RegressorStep, TrainConfig, Trainer};
 use qugeo_bench::{build_scaled_triple, header, improvement_pct, rule, Preset};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_nn::models::{CnnRegressor, RegressorConfig};
@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (train, test) = scaled.try_split(preset.train_count)?;
             let (ssim, mse, n_params) = if is_quantum {
                 let model = if is_pixel { &qm_px } else { &qm_ly };
-                let out =
-                    Trainer::new(train_cfg).fit(&mut PerSampleVqc::new(model, &train, &test)?)?;
+                let out = Trainer::new(train_cfg)
+                    .fit(&mut MiniBatchVqc::new(model, &train, &test, 1)?)?;
                 (out.final_ssim, out.final_mse, model.num_params())
             } else {
                 let config = if is_pixel {

@@ -22,11 +22,12 @@
 //!    one circuit execution at the cost of N extra qubits.
 //!
 //! [`train`] is the unified training engine: a [`train::Trainer`]
-//! drives any [`train::TrainStep`] strategy (per-sample paper loop,
-//! QuBatch-widened batches, mini-batch averaged gradients, or the
-//! classical regressor) with pluggable optimisers and learning-rate
-//! schedules (`qugeo_nn::optim`) and a [`train::Callback`] stack (early
-//! stopping, periodic checkpoints, extra metrics). Its defaults are the
+//! drives any [`train::TrainStep`] strategy (mini-batch averaged
+//! gradients, whose batch size 1 is the paper's per-sample loop;
+//! QuBatch-widened batches; or the classical regressor) with pluggable
+//! optimisers and learning-rate schedules (`qugeo_nn::optim`) and a
+//! [`train::Callback`] stack (early stopping, periodic checkpoints,
+//! extra metrics). Its defaults are the
 //! paper's recipe (Adam, lr 0.1, cosine annealing) for quantum and
 //! classical models alike. [`profile`] provides the
 //! vertical-velocity-profile analyses of Figures 7 and 9.
@@ -90,7 +91,6 @@ pub mod qubatch;
 pub mod serve;
 pub mod session;
 pub mod train;
-pub mod trainer;
 pub mod viz;
 
 mod error;

@@ -298,51 +298,6 @@ impl QuGeoVqc {
         Ok(maps)
     }
 
-    /// Predicts under a NISQ noise model: the circuit runs as an ensemble
-    /// of noisy trajectories through `executor` and the decoder consumes
-    /// the averaged (noisy) probabilities.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for encoding failures, parameter-count
-    /// mismatches, or simulation failures.
-    pub fn predict_noisy(
-        &self,
-        seismic: &[f64],
-        params: &[f64],
-        executor: &qugeo_qsim::noise::NoisyExecutor,
-    ) -> Result<Array2, QuGeoError> {
-        let encoded = self.encode(seismic)?;
-        let probs = executor.probabilities(&self.circuit, &encoded, params)?;
-        self.config.decoder.decode(&probs)
-    }
-
-    /// Predicts from finite-shot measurement statistics: the ideal output
-    /// distribution is sampled `shots` times and the decoder consumes the
-    /// empirical probabilities — hardware-faithful evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for encoding failures, parameter-count
-    /// mismatches, or `shots == 0`.
-    pub fn predict_sampled(
-        &self,
-        seismic: &[f64],
-        params: &[f64],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Array2, QuGeoError> {
-        if shots == 0 {
-            return Err(QuGeoError::Config {
-                reason: "need at least one shot".into(),
-            });
-        }
-        let state = self.forward(seismic, params)?;
-        let counts = qugeo_qsim::noise::sample_counts(&state.probabilities(), shots, seed)?;
-        let empirical = qugeo_qsim::noise::empirical_probabilities(&counts);
-        self.config.decoder.decode(&empirical)
-    }
-
     /// Training loss against a normalised target map plus the gradient
     /// with respect to every circuit parameter, computed with one fused
     /// adjoint-differentiation pass ([`qugeo_qsim::adjoint`]).
@@ -629,13 +584,14 @@ mod tests {
 
     #[test]
     fn noisy_prediction_converges_to_ideal_at_zero_noise() {
-        use qugeo_qsim::noise::{NoiseModel, NoisyExecutor};
+        use qugeo_qsim::noise::NoiseModel;
+        use qugeo_qsim::NoisyBackend;
         let m = QuGeoVqc::new(VqcConfig::paper_layer_wise()).unwrap();
         let params = m.init_params(4);
         let seismic = ramp_seismic(256);
         let ideal = m.predict(&seismic, &params).unwrap();
-        let exec = NoisyExecutor::new(NoiseModel::noiseless(), 4, 1);
-        let noisy = m.predict_noisy(&seismic, &params, &exec).unwrap();
+        let backend = NoisyBackend::new(NoiseModel::noiseless(), 1);
+        let noisy = m.predict_with(&seismic, &params, &backend).unwrap();
         for (a, b) in ideal.iter().zip(noisy.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -643,32 +599,44 @@ mod tests {
 
     #[test]
     fn noise_degrades_prediction_quality() {
-        use qugeo_qsim::noise::{NoiseModel, NoisyExecutor};
+        use qugeo_qsim::noise::NoiseModel;
+        use qugeo_qsim::NoisyBackend;
         let m = QuGeoVqc::new(VqcConfig::paper_layer_wise()).unwrap();
         let params = m.init_params(4);
         let seismic = ramp_seismic(256);
         let ideal = m.predict(&seismic, &params).unwrap();
 
-        let noise = NoiseModel::uniform_depolarizing(0.05).unwrap();
-        let exec = NoisyExecutor::new(noise, 24, 2);
-        let noisy = m.predict_noisy(&seismic, &params, &exec).unwrap();
+        // 24 replicated members are 24 independent noise trajectories.
+        let backend = NoisyBackend::new(NoiseModel::uniform_depolarizing(0.05).unwrap(), 2);
+        let trajectories = m
+            .predict_many_with(&vec![seismic.as_slice(); 24], &params, &backend)
+            .unwrap();
         let drift: f64 = ideal
             .iter()
-            .zip(noisy.iter())
-            .map(|(a, b)| (a - b).abs())
+            .enumerate()
+            .map(|(k, a)| {
+                let mean = trajectories
+                    .iter()
+                    .map(|map| map.as_slice()[k])
+                    .sum::<f64>()
+                    / trajectories.len() as f64;
+                (a - mean).abs()
+            })
             .sum();
         assert!(drift > 1e-6, "depolarizing noise must move the prediction");
     }
 
     #[test]
     fn sampled_prediction_approaches_ideal_with_shots() {
+        use qugeo_qsim::ShotSamplerBackend;
         let m = QuGeoVqc::new(VqcConfig::paper_layer_wise()).unwrap();
         let params = m.init_params(4);
         let seismic = ramp_seismic(256);
         let ideal = m.predict(&seismic, &params).unwrap();
 
         let err_for = |shots: usize| -> f64 {
-            let sampled = m.predict_sampled(&seismic, &params, shots, 99).unwrap();
+            let backend = ShotSamplerBackend::new(shots, 99);
+            let sampled = m.predict_with(&seismic, &params, &backend).unwrap();
             ideal
                 .iter()
                 .zip(sampled.iter())
@@ -676,7 +644,6 @@ mod tests {
                 .sum()
         };
         assert!(err_for(100_000) < err_for(100));
-        assert!(m.predict_sampled(&seismic, &params, 0, 0).is_err());
     }
 
     #[test]

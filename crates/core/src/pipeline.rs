@@ -91,17 +91,6 @@ impl ScaledDataset {
             self.samples[n..].to_vec(),
         ))
     }
-
-    /// Splits into `(first n, rest)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`; prefer [`ScaledDataset::try_split`],
-    /// which reports that as a [`QuGeoError::Config`] instead.
-    #[deprecated(since = "0.2.0", note = "use `try_split`, which returns a Result instead of panicking")]
-    pub fn split(&self, n: usize) -> (Vec<ScaledSample>, Vec<ScaledSample>) {
-        self.try_split(n).expect("split beyond dataset")
-    }
 }
 
 /// Configuration of the physics-guided (`Q-D-FW`) rescaling.
@@ -554,10 +543,6 @@ mod tests {
             scaled.try_split(4),
             Err(QuGeoError::Config { .. })
         ));
-        // The deprecated wrapper still works for in-range splits.
-        #[allow(deprecated)]
-        let (legacy_train, _) = scaled.split(2);
-        assert_eq!(legacy_train.len(), 2);
     }
 
     #[test]

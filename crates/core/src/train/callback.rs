@@ -102,21 +102,32 @@ pub struct EarlyStopping {
 }
 
 impl EarlyStopping {
-    /// Stop after `patience` consecutive non-improving evaluations
-    /// (`patience >= 1`); improvements smaller than `min_delta` don't
-    /// count.
+    /// Stop after `patience` consecutive non-improving evaluations;
+    /// improvements smaller than `min_delta` don't count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `patience == 0`.
-    pub fn new(patience: usize, min_delta: f64) -> Self {
-        assert!(patience > 0, "early-stopping patience must be >= 1");
-        Self {
+    /// Returns [`QuGeoError::Config`] when `patience == 0`, or when
+    /// `min_delta` is NaN or negative: either makes the improvement test
+    /// pass on (almost) every evaluation, so the callback would silently
+    /// never stop the run.
+    pub fn new(patience: usize, min_delta: f64) -> Result<Self, QuGeoError> {
+        if patience == 0 {
+            return Err(QuGeoError::Config {
+                reason: "early-stopping patience must be >= 1".into(),
+            });
+        }
+        if min_delta.is_nan() || min_delta < 0.0 {
+            return Err(QuGeoError::Config {
+                reason: format!("early-stopping min_delta must be >= 0, got {min_delta}"),
+            });
+        }
+        Ok(Self {
             patience,
             min_delta,
             best: None,
             strikes: 0,
-        }
+        })
     }
 
     /// Best (lowest) test MSE observed so far, if any epoch evaluated.
@@ -308,7 +319,7 @@ mod tests {
 
     #[test]
     fn early_stopping_waits_for_patience() {
-        let mut es = EarlyStopping::new(2, 0.0);
+        let mut es = EarlyStopping::new(2, 0.0).unwrap();
         let p = [0.0];
         // First evaluation sets the best.
         let mut s = stats(0, Some(1.0));
@@ -327,7 +338,7 @@ mod tests {
 
     #[test]
     fn early_stopping_resets_on_improvement() {
-        let mut es = EarlyStopping::new(2, 0.0);
+        let mut es = EarlyStopping::new(2, 0.0).unwrap();
         let p = [0.0];
         for (epoch, mse) in [(0, 1.0), (1, 1.0), (2, 0.5), (3, 0.6)] {
             let mut s = stats(epoch, Some(mse));
@@ -342,7 +353,7 @@ mod tests {
 
     #[test]
     fn early_stopping_min_delta_counts_tiny_gains_as_stagnation() {
-        let mut es = EarlyStopping::new(1, 0.1);
+        let mut es = EarlyStopping::new(1, 0.1).unwrap();
         let p = [0.0];
         let mut s = stats(0, Some(1.0));
         assert_eq!(es.on_epoch_end(&mut s, &ctx(0, &p, &[])).unwrap(), CallbackFlow::Continue);
@@ -352,9 +363,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "patience")]
-    fn early_stopping_zero_patience_panics() {
-        EarlyStopping::new(0, 0.0);
+    fn early_stopping_rejects_degenerate_settings() {
+        for (patience, min_delta) in [(0, 0.0), (2, f64::NAN), (2, -0.1)] {
+            assert!(
+                matches!(
+                    EarlyStopping::new(patience, min_delta),
+                    Err(QuGeoError::Config { .. })
+                ),
+                "patience {patience}, min_delta {min_delta} must be rejected"
+            );
+        }
+        assert!(EarlyStopping::new(1, 0.0).is_ok());
     }
 
     #[test]

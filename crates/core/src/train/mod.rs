@@ -4,10 +4,10 @@
 //! initial learning rate is set to 0.1, followed by a cosine annealing
 //! schedule" — is the *default* configuration of this engine, not a
 //! hard-coded loop. A [`Trainer`] drives any [`TrainStep`] strategy
-//! (per-sample, QuBatch-widened, mini-batch averaged, or the classical
-//! regressor) with any [`Optimizer`] and [`LrSchedule`], and a
-//! [`Callback`] stack observes every epoch (early stopping, periodic
-//! checkpoints, extra metrics).
+//! (mini-batch averaged, which is per-sample at batch 1; QuBatch-widened;
+//! or the classical regressor) with any [`Optimizer`] and
+//! [`LrSchedule`], and a [`Callback`] stack observes every epoch (early
+//! stopping, periodic checkpoints, extra metrics).
 //!
 //! Layering:
 //!
@@ -27,20 +27,20 @@
 //! only consume the order, so sharding is replica-count-invariant by
 //! construction.
 //!
-//! The legacy free functions in [`crate::trainer`] (`train_vqc`,
-//! `train_vqc_batched`, `train_regressor`, …) are deprecated wrappers
-//! over this engine and reproduce their historical outputs bit-for-bit.
+//! The paper's per-sample loop is [`MiniBatchVqc`] at `batch_size = 1`;
+//! `train/tests.rs` pins it, and [`QuBatchVqc`], bit-for-bit against
+//! frozen copies of the loops that predate the engine.
 //!
 //! # Examples
 //!
 //! ```no_run
 //! use qugeo::model::{QuGeoVqc, VqcConfig};
-//! use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+//! use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 //! # fn main() -> Result<(), qugeo::QuGeoError> {
 //! # let (train, test): (Vec<_>, Vec<_>) = (vec![], vec![]);
 //! let model = QuGeoVqc::new(VqcConfig::paper_layer_wise())?;
 //! let outcome = Trainer::new(TrainConfig::paper_default())
-//!     .fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+//!     .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
 //! println!("SSIM {:.4}", outcome.final_ssim);
 //! # Ok(())
 //! # }
@@ -56,8 +56,8 @@ pub use callback::{
 };
 pub use parallel::{DataParallel, ReplicaStep, ReplicaThreads, Shardable};
 pub use strategy::{
-    evaluate_regressor, evaluate_vqc, evaluate_vqc_with, EpochReport, MiniBatchVqc, PerSampleVqc,
-    QuBatchVqc, RegressorStep, TrainStep,
+    evaluate_regressor, evaluate_vqc, evaluate_vqc_with, EpochReport, MiniBatchVqc, QuBatchVqc,
+    RegressorStep, TrainStep,
 };
 pub use sweep::{
     Leaderboard, ScheduleSpec, Sweep, SweepSpace, SweepStrategy, TrialOutcome, TrialSpec,

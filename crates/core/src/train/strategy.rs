@@ -3,14 +3,14 @@
 //! A [`TrainStep`] owns the data, the model handle, and the execution
 //! backend; the [`Trainer`](super::Trainer) owns everything that is the
 //! same across strategies (shuffling, schedule, callbacks, history).
-//! Three quantum strategies and one classical strategy ship:
+//! Two quantum strategies and one classical strategy ship:
 //!
-//! * [`PerSampleVqc`] — one optimiser step per sample (the paper's loop);
-//! * [`QuBatchVqc`] — one step per QuBatch-widened circuit execution
-//!   (`batch_size` samples share a register and an amplitude norm);
 //! * [`MiniBatchVqc`] — per-sample gradients *averaged* over a
 //!   mini-batch, one step per batch (the classical-ML shape, exact —
-//!   no shared-norm precision cost);
+//!   no shared-norm precision cost); at `batch_size = 1` it is the
+//!   paper's per-sample loop;
+//! * [`QuBatchVqc`] — one step per QuBatch-widened circuit execution
+//!   (`batch_size` samples share a register and an amplitude norm);
 //! * [`RegressorStep`] — the CNN baselines of Table 2.
 
 use qugeo_geodata::scaling::ScaledSample;
@@ -134,13 +134,6 @@ fn require_batch_size(batch_size: usize) -> Result<(), QuGeoError> {
     Ok(())
 }
 
-/// Amplitude-encodes every training sample once, at strategy
-/// construction — encoding is parameter-independent, so re-encoding per
-/// epoch (let alone per step) is pure waste.
-fn encode_all(model: &QuGeoVqc, train: &[ScaledSample]) -> Result<Vec<State>, QuGeoError> {
-    train.iter().map(|s| model.encode(&s.seismic)).collect()
-}
-
 /// Loads the step's member states into a strategy-held input batch,
 /// recycling its allocation after the first step
 /// ([`BatchedState::load_states`]).
@@ -215,155 +208,6 @@ pub fn evaluate_vqc_with(
     let seismic: Vec<&[f64]> = samples.iter().map(|s| s.seismic.as_slice()).collect();
     let preds = model.predict_many_with(&seismic, params, backend)?;
     mean_mse_ssim(samples, &preds)
-}
-
-/// The paper's training loop: one optimiser step per sample.
-///
-/// On adjoint-capable backends every step runs one fused adjoint pass
-/// through a strategy-held [`AdjointWorkspace`] and a recycled input
-/// batch — training samples are encoded once at construction and no
-/// engine buffer is re-allocated in the steady state
-/// ([`PerSampleVqc::adjoint_workspace`] exposes the counters that prove
-/// it). Backends without amplitude access fall back to parameter shift
-/// via [`QuGeoVqc::loss_and_grad_with`].
-pub struct PerSampleVqc<'a> {
-    model: &'a QuGeoVqc,
-    train: &'a [ScaledSample],
-    test: &'a [ScaledSample],
-    targets: Vec<Array2>,
-    encoded: Vec<State>,
-    backend: BackendHandle<'a>,
-    ws: AdjointWorkspace,
-    inputs: Option<BatchedState>,
-}
-
-impl<'a> PerSampleVqc<'a> {
-    /// Per-sample training on the default statevector backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuGeoError::Config`] for empty train or test sets.
-    pub fn new(
-        model: &'a QuGeoVqc,
-        train: &'a [ScaledSample],
-        test: &'a [ScaledSample],
-    ) -> Result<Self, QuGeoError> {
-        Self::build(
-            model,
-            train,
-            test,
-            BackendHandle::Owned(Box::new(StatevectorBackend::default())),
-        )
-    }
-
-    /// Per-sample training through an explicit execution backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuGeoError::Config`] for empty train or test sets.
-    pub fn with_backend(
-        model: &'a QuGeoVqc,
-        train: &'a [ScaledSample],
-        test: &'a [ScaledSample],
-        backend: &'a dyn QuantumBackend,
-    ) -> Result<Self, QuGeoError> {
-        Self::build(model, train, test, BackendHandle::Borrowed(backend))
-    }
-
-    fn build(
-        model: &'a QuGeoVqc,
-        train: &'a [ScaledSample],
-        test: &'a [ScaledSample],
-        backend: BackendHandle<'a>,
-    ) -> Result<Self, QuGeoError> {
-        require_non_empty(train, test)?;
-        // Pre-encoded states only feed the adjoint fast path; skip the
-        // O(samples * 2^n) buffers on backends that cannot take it.
-        let encoded = if backend.get().supports_adjoint_gradient() {
-            encode_all(model, train)?
-        } else {
-            Vec::new()
-        };
-        Ok(Self {
-            model,
-            train,
-            test,
-            targets: train.iter().map(normalized_target).collect(),
-            encoded,
-            backend,
-            ws: AdjointWorkspace::new(),
-            inputs: None,
-        })
-    }
-
-    /// The strategy's adjoint workspace — its allocation/reuse counters
-    /// let callers assert the no-allocation steady-state contract.
-    pub fn adjoint_workspace(&self) -> &AdjointWorkspace {
-        &self.ws
-    }
-}
-
-impl TrainStep for PerSampleVqc<'_> {
-    fn num_train_samples(&self) -> usize {
-        self.train.len()
-    }
-
-    fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.model.init_params(seed)
-    }
-
-    fn run_epoch(
-        &mut self,
-        order: &[usize],
-        params: &mut [f64],
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<EpochReport, QuGeoError> {
-        let backend = self.backend.get();
-        let use_adjoint = backend.supports_adjoint_gradient();
-        let mut loss_sum = 0.0;
-        let mut norm_sum = 0.0;
-        for &i in order {
-            if use_adjoint {
-                let inputs = load_inputs(&mut self.inputs, &[&self.encoded[i]])?;
-                let decoder = self.model.decoder();
-                let target = &self.targets[i];
-                let mut loss = 0.0;
-                backend.adjoint_gradient_batch(
-                    self.model.circuit(),
-                    params,
-                    inputs,
-                    &mut |_, probs| {
-                        let (l, obs) = member_loss_obs(decoder, probs, target)?;
-                        loss = l;
-                        Ok(obs)
-                    },
-                    &mut self.ws,
-                )?;
-                optimizer.step(params, self.ws.grad(0));
-                loss_sum += loss;
-                norm_sum += l2_norm(self.ws.grad(0));
-            } else {
-                let (loss, grad) = self.model.loss_and_grad_with(
-                    &self.train[i].seismic,
-                    &self.targets[i],
-                    params,
-                    backend,
-                )?;
-                optimizer.step(params, &grad);
-                loss_sum += loss;
-                norm_sum += l2_norm(&grad);
-            }
-        }
-        let n = order.len().max(1) as f64;
-        Ok(EpochReport {
-            train_loss: loss_sum / n,
-            grad_norm: norm_sum / n,
-        })
-    }
-
-    fn evaluate(&mut self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.model, params, self.test, self.backend.get())
-    }
 }
 
 /// QuBatch training: each optimiser step consumes one batch of
@@ -496,6 +340,8 @@ impl TrainStep for QuBatchVqc<'_> {
 /// optimiser step per batch, gradients computed exactly per sample and
 /// averaged — the classical-ML batching shape, with none of QuBatch's
 /// shared-norm precision cost (and none of its circuit sharing).
+/// `batch_size = 1` is the paper's training loop: one optimiser step per
+/// sample, bit-identical to the pre-engine per-sample loop.
 ///
 /// On adjoint-capable backends the whole mini-batch's gradients come
 /// from **one** batched adjoint call
@@ -564,10 +410,15 @@ impl<'a> MiniBatchVqc<'a> {
     ) -> Result<Self, QuGeoError> {
         require_non_empty(train, test)?;
         require_batch_size(batch_size)?;
-        // Pre-encoded states only feed the adjoint fast path; skip the
-        // O(samples * 2^n) buffers on backends that cannot take it.
+        // Every training sample is amplitude-encoded once, here:
+        // encoding is parameter-independent, so re-encoding per step is
+        // pure waste. The states only feed the adjoint fast path; skip
+        // the O(samples * 2^n) buffers on backends that cannot take it.
         let encoded = if backend.get().supports_adjoint_gradient() {
-            encode_all(model, train)?
+            train
+                .iter()
+                .map(|s| model.encode(&s.seismic))
+                .collect::<Result<_, _>>()?
         } else {
             Vec::new()
         };
@@ -673,10 +524,10 @@ impl TrainStep for MiniBatchVqc<'_> {
     }
 }
 
-/// Replica evaluation context shared by [`PerSampleVqc`] and
-/// [`MiniBatchVqc`]: borrows the strategy's read-only data (model,
-/// samples, targets, pre-encoded states) and owns its mutable scratch
-/// (workspace, input batch, backend handle).
+/// Replica evaluation context for [`MiniBatchVqc`]: borrows the
+/// strategy's read-only data (model, samples, targets, pre-encoded
+/// states) and owns its mutable scratch (workspace, input batch, backend
+/// handle).
 ///
 /// `eval_unit` mirrors [`MiniBatchVqc::run_epoch`]'s gradient path
 /// operation-for-operation — one batched adjoint call, per-member grads
@@ -735,36 +586,6 @@ impl ReplicaStep for VqcReplica<'_> {
         let scale = 1.0 / unit.len() as f64;
         grad_acc.iter_mut().for_each(|g| *g *= scale);
         Ok((unit_loss * scale, grad_acc))
-    }
-}
-
-impl Shardable for PerSampleVqc<'_> {
-    fn num_train_samples(&self) -> usize {
-        self.train.len()
-    }
-
-    fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.model.init_params(seed)
-    }
-
-    fn samples_per_step(&self) -> usize {
-        1
-    }
-
-    fn replica(&self, config: BackendConfig) -> Box<dyn ReplicaStep + '_> {
-        Box::new(VqcReplica {
-            model: self.model,
-            train: self.train,
-            targets: &self.targets,
-            encoded: &self.encoded,
-            backend: self.backend.for_replica(config),
-            ws: AdjointWorkspace::new(),
-            inputs: None,
-        })
-    }
-
-    fn evaluate_params(&self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.model, params, self.test, self.backend.get())
     }
 }
 

@@ -1,10 +1,16 @@
 use super::*;
 use crate::decoder::Decoder;
 use crate::model::{QuGeoVqc, VqcConfig};
+use crate::pipeline::normalized_target;
+use crate::qubatch::QuBatch;
 use qugeo_geodata::scaling::ScaledSample;
 use qugeo_nn::models::{CnnRegressor, RegressorConfig};
 use qugeo_nn::optim::{ConstantLr, Sgd, StepDecay, WarmupCosine};
 use qugeo_qsim::ansatz::EntangleOrder;
+use qugeo_qsim::{
+    BackendConfig, BatchedState, CompiledCircuit, DiagonalObservable, QsimError, QuantumBackend,
+    StatevectorBackend,
+};
 use qugeo_tensor::Array2;
 
 /// Synthetic scaled samples with a learnable seismic→velocity link:
@@ -60,7 +66,7 @@ fn per_sample_training_reduces_loss() {
         eval_every: 0,
     };
     let outcome = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     let first = outcome.history.first().unwrap().train_loss;
     let last = outcome.history.last().unwrap().train_loss;
@@ -103,14 +109,14 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
 
     // The reference: one uninterrupted 10-epoch run.
     let full = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
 
     // The same run "crashed" after epoch 4, having checkpointed there.
     let interrupted = Trainer::new(cfg)
         .callback(PeriodicCheckpoint::new(&model, &dir, 5, "resume").unwrap())
         .callback(StopAfter(4))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     assert_eq!(interrupted.history.len(), 5);
 
@@ -120,7 +126,10 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
         .expect("epoch-4 checkpoint written");
     assert_eq!(ckpt.epoch, Some(4));
     let resumed = Trainer::new(cfg)
-        .fit_resuming(&mut PerSampleVqc::new(&model, &train, &test).unwrap(), &ckpt)
+        .fit_resuming(
+            &mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap(),
+            &ckpt,
+        )
         .unwrap();
 
     // Interruption must be invisible: bit-identical final parameters.
@@ -143,7 +152,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
     assert_eq!(fallback.epoch, Some(4), "torn epoch-9 file must be skipped");
 
     // Typed rejections: no resume metadata, and nothing left to resume.
-    let mut strategy = PerSampleVqc::new(&model, &train, &test).unwrap();
+    let mut strategy = MiniBatchVqc::new(&model, &train, &test, 1).unwrap();
     let plain = Checkpoint::capture(&model, &full.params, "resume").unwrap();
     assert!(matches!(
         Trainer::new(cfg).fit_resuming(&mut strategy, &plain),
@@ -177,7 +186,7 @@ fn config_validation_rejects_degenerate_setups() {
     // fit() applies the validation before touching the strategy.
     let model = small_vqc(Decoder::LayerWise { rows: 4 });
     let (train, test) = split(synthetic_samples(4, 16, 4), 2);
-    let mut strategy = PerSampleVqc::new(&model, &train, &test).unwrap();
+    let mut strategy = MiniBatchVqc::new(&model, &train, &test, 1).unwrap();
     let err = Trainer::new(TrainConfig {
         epochs: 0,
         ..TrainConfig::smoke(1)
@@ -190,8 +199,8 @@ fn config_validation_rejects_degenerate_setups() {
 fn strategies_validate_their_inputs() {
     let model = small_vqc(Decoder::LayerWise { rows: 4 });
     let samples = synthetic_samples(2, 16, 4);
-    assert!(PerSampleVqc::new(&model, &[], &samples).is_err());
-    assert!(PerSampleVqc::new(&model, &samples, &[]).is_err());
+    assert!(MiniBatchVqc::new(&model, &[], &samples, 1).is_err());
+    assert!(MiniBatchVqc::new(&model, &samples, &[], 1).is_err());
     assert!(QuBatchVqc::new(&model, &samples, &samples, 0).is_err());
     assert!(MiniBatchVqc::new(&model, &samples, &samples, 0).is_err());
     let mut regressor = CnnRegressor::new(RegressorConfig::layer_wise(), 2).unwrap();
@@ -214,23 +223,6 @@ fn qubatch_training_reduces_loss() {
     let first = outcome.history.first().unwrap().train_loss;
     let last = outcome.history.last().unwrap().train_loss;
     assert!(last < first, "batched loss {first} -> {last}");
-}
-
-#[test]
-fn minibatch_at_size_one_is_bitwise_per_sample() {
-    // A mini-batch of one averages a single gradient — identical updates
-    // to the per-sample loop, so the runs must agree bit-for-bit.
-    let model = small_vqc(Decoder::LayerWise { rows: 4 });
-    let (train, test) = split(synthetic_samples(5, 16, 4), 3);
-    let cfg = TrainConfig::smoke(4);
-    let per_sample = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
-        .unwrap();
-    let minibatch = Trainer::new(cfg)
-        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
-        .unwrap();
-    assert_eq!(per_sample.params, minibatch.params);
-    assert_eq!(per_sample.final_mse, minibatch.final_mse);
 }
 
 #[test]
@@ -266,7 +258,7 @@ fn custom_optimizer_and_schedule_plug_in() {
     let outcome = Trainer::new(cfg)
         .optimizer(|n, lr| Box::new(Sgd::with_momentum(n, lr, 0.9)))
         .schedule(WarmupCosine::new(cfg.initial_lr, 5, cfg.epochs))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     let first = outcome.history.first().unwrap().train_loss;
     let last = outcome.history.last().unwrap().train_loss;
@@ -276,7 +268,7 @@ fn custom_optimizer_and_schedule_plug_in() {
     // Step-decay schedule on the same strategy also runs end to end.
     let stepped = Trainer::new(cfg)
         .schedule(StepDecay::new(cfg.initial_lr, 0.5, 10))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     assert!(stepped.final_mse.is_finite());
 }
@@ -295,8 +287,8 @@ fn early_stopping_halts_and_truncates_history() {
     // min_delta, so every evaluation after the first is a strike.
     let outcome = Trainer::new(cfg)
         .schedule(ConstantLr::new(1e-12))
-        .callback(EarlyStopping::new(3, 1e-9))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .callback(EarlyStopping::new(3, 1e-9).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     // Epoch 0 sets the best; epochs 1..=3 are strikes; stop at epoch 3.
     assert_eq!(
@@ -317,14 +309,14 @@ fn metrics_recorder_enriches_history_only_when_installed() {
     let cfg = TrainConfig::smoke(3);
 
     let plain = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     assert!(plain.history.iter().all(|s| s.grad_norm.is_none()));
     assert!(plain.history.iter().all(|s| s.wall_clock_secs.is_none()));
 
     let recorded = Trainer::new(cfg)
         .callback(MetricsRecorder)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     for s in &recorded.history {
         let g = s.grad_norm.expect("grad norm recorded");
@@ -348,7 +340,7 @@ fn periodic_checkpoints_capture_restorable_params() {
 
     let outcome = Trainer::new(cfg)
         .callback(checkpointer)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
 
     assert!(mid_path.exists(), "epoch-2 checkpoint written");
@@ -392,7 +384,7 @@ fn history_records_evaluations_at_interval() {
         eval_every: 2,
     };
     let outcome = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     assert!(outcome.history[0].test_mse.is_some());
     assert!(outcome.history[1].test_mse.is_none());
@@ -412,11 +404,11 @@ fn training_outcome_is_backend_invariant_across_exact_backends() {
         eval_every: 0,
     };
     let default_run = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
     let naive = NaiveBackend::default();
     let naive_run = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::with_backend(&model, &train, &test, &naive).unwrap())
+        .fit(&mut MiniBatchVqc::with_backend(&model, &train, &test, 1, &naive).unwrap())
         .unwrap();
     // Swapping one exact backend for another changes nothing: same
     // trained parameters, same metrics, to within rounding noise. The
@@ -429,6 +421,258 @@ fn training_outcome_is_backend_invariant_across_exact_backends() {
     }
     assert!((default_run.final_mse - naive_run.final_mse).abs() < 1e-8);
     assert!((default_run.final_ssim - naive_run.final_ssim).abs() < 1e-8);
+}
+
+/// An exact backend that hides its amplitudes: every call delegates to
+/// the statevector engine, but it reports no adjoint support, so the
+/// strategies must take their parameter-shift fallback.
+struct NoAdjoint(StatevectorBackend);
+
+impl QuantumBackend for NoAdjoint {
+    fn name(&self) -> &'static str {
+        "no-adjoint"
+    }
+
+    fn config(&self) -> &BackendConfig {
+        self.0.config()
+    }
+
+    fn supports_adjoint_gradient(&self) -> bool {
+        false
+    }
+
+    fn is_deterministic(&self) -> bool {
+        true
+    }
+
+    fn run_batch(
+        &self,
+        circuit: &CompiledCircuit,
+        batch: &mut BatchedState,
+    ) -> Result<(), QsimError> {
+        self.0.run_batch(circuit, batch)
+    }
+
+    fn run_each(
+        &self,
+        circuits: &[CompiledCircuit],
+        batch: &mut BatchedState,
+    ) -> Result<(), QsimError> {
+        self.0.run_each(circuits, batch)
+    }
+
+    fn expectations(
+        &self,
+        batch: &BatchedState,
+        obs: &DiagonalObservable,
+    ) -> Result<Vec<f64>, QsimError> {
+        self.0.expectations(batch, obs)
+    }
+
+    fn probabilities(&self, batch: &BatchedState) -> Result<Vec<Vec<f64>>, QsimError> {
+        self.0.probabilities(batch)
+    }
+}
+
+#[test]
+fn minibatch_parameter_shift_fallback_matches_adjoint_training() {
+    let model = small_vqc(Decoder::LayerWise { rows: 4 });
+    let (train, test) = split(synthetic_samples(6, 16, 4), 4);
+    let cfg = TrainConfig::smoke(3);
+    let backend = NoAdjoint(StatevectorBackend::default());
+    for batch_size in [1usize, 3] {
+        let adjoint = Trainer::new(cfg)
+            .fit(&mut MiniBatchVqc::new(&model, &train, &test, batch_size).unwrap())
+            .unwrap();
+        let mut shifted =
+            MiniBatchVqc::with_backend(&model, &train, &test, batch_size, &backend).unwrap();
+        let fallback = Trainer::new(cfg).fit(&mut shifted).unwrap();
+        // The adjoint workspace never ran: every gradient came from
+        // parameter shift through the backend.
+        assert_eq!(shifted.adjoint_workspace().allocations(), 0);
+        for (a, b) in adjoint.params.iter().zip(&fallback.params) {
+            assert!(
+                (a - b).abs() < 1e-8,
+                "batch {batch_size}: params diverged: {a} vs {b}"
+            );
+        }
+    }
+}
+
+/// The paper's per-sample training loop, frozen verbatim from the
+/// implementation that predates the engine. It shares no code with
+/// [`Trainer`] or the strategies, so the engine must reproduce it
+/// bit-for-bit.
+fn frozen_per_sample_loop(
+    model: &QuGeoVqc,
+    train: &[ScaledSample],
+    test: &[ScaledSample],
+    config: &TrainConfig,
+) -> TrainOutcome {
+    let backend = StatevectorBackend::default();
+    let mut params = model.init_params(config.seed);
+    let mut adam = Adam::new(params.len(), config.initial_lr);
+    let schedule = CosineAnnealing::new(config.initial_lr, config.epochs);
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xABCD_EF01);
+
+    let targets: Vec<Array2> = train.iter().map(normalized_target).collect();
+    let mut order: Vec<usize> = (0..train.len()).collect();
+    let mut history = Vec::with_capacity(config.epochs);
+
+    for epoch in 0..config.epochs {
+        adam.set_learning_rate(schedule.lr_at(epoch));
+        order.shuffle(&mut rng);
+        let mut loss_sum = 0.0;
+        for &i in &order {
+            let (loss, grad) = model
+                .loss_and_grad_with(&train[i].seismic, &targets[i], &params, &backend)
+                .unwrap();
+            adam.step(&mut params, &grad);
+            loss_sum += loss;
+        }
+        let train_loss = loss_sum / train.len() as f64;
+
+        let evaluate =
+            epoch + 1 == config.epochs || (config.eval_every > 0 && epoch % config.eval_every == 0);
+        let (test_mse, test_ssim) = if evaluate {
+            let (m, s) = evaluate_vqc(model, &params, test).unwrap();
+            (Some(m), Some(s))
+        } else {
+            (None, None)
+        };
+        history.push(EpochStats {
+            epoch,
+            train_loss,
+            test_mse,
+            test_ssim,
+            grad_norm: None,
+            wall_clock_secs: None,
+        });
+    }
+
+    let (final_mse, final_ssim) = evaluate_vqc(model, &params, test).unwrap();
+    TrainOutcome {
+        params,
+        history,
+        final_mse,
+        final_ssim,
+    }
+}
+
+/// The QuBatch training loop, frozen verbatim from the implementation
+/// that predates the engine.
+fn frozen_qubatch_loop(
+    model: &QuGeoVqc,
+    train: &[ScaledSample],
+    test: &[ScaledSample],
+    config: &TrainConfig,
+    batch_size: usize,
+) -> TrainOutcome {
+    let backend = StatevectorBackend::default();
+    let qubatch = QuBatch::new(model).unwrap();
+    let mut params = model.init_params(config.seed);
+    let mut adam = Adam::new(params.len(), config.initial_lr);
+    let schedule = CosineAnnealing::new(config.initial_lr, config.epochs);
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xABCD_EF01);
+
+    let targets: Vec<Array2> = train.iter().map(normalized_target).collect();
+    let mut order: Vec<usize> = (0..train.len()).collect();
+    let mut history = Vec::with_capacity(config.epochs);
+
+    for epoch in 0..config.epochs {
+        adam.set_learning_rate(schedule.lr_at(epoch));
+        order.shuffle(&mut rng);
+        let mut loss_sum = 0.0;
+        let mut steps = 0usize;
+        for chunk in order.chunks(batch_size) {
+            let seismic: Vec<Vec<f64>> = chunk.iter().map(|&i| train[i].seismic.clone()).collect();
+            let tgt: Vec<Array2> = chunk.iter().map(|&i| targets[i].clone()).collect();
+            let (loss, grad) = qubatch
+                .loss_and_grad_batch_with(&seismic, &tgt, &params, &backend)
+                .unwrap();
+            adam.step(&mut params, &grad);
+            loss_sum += loss;
+            steps += 1;
+        }
+        let train_loss = loss_sum / steps.max(1) as f64;
+
+        let evaluate =
+            epoch + 1 == config.epochs || (config.eval_every > 0 && epoch % config.eval_every == 0);
+        let (test_mse, test_ssim) = if evaluate {
+            let (m, s) = evaluate_vqc(model, &params, test).unwrap();
+            (Some(m), Some(s))
+        } else {
+            (None, None)
+        };
+        history.push(EpochStats {
+            epoch,
+            train_loss,
+            test_mse,
+            test_ssim,
+            grad_norm: None,
+            wall_clock_secs: None,
+        });
+    }
+
+    let (final_mse, final_ssim) = evaluate_vqc(model, &params, test).unwrap();
+    TrainOutcome {
+        params,
+        history,
+        final_mse,
+        final_ssim,
+    }
+}
+
+#[test]
+fn minibatch_at_batch_one_reproduces_frozen_per_sample_loop_bit_for_bit() {
+    let model = small_vqc(Decoder::LayerWise { rows: 4 });
+    let (train, test) = split(synthetic_samples(6, 16, 4), 4);
+    let cfg = TrainConfig {
+        epochs: 6,
+        initial_lr: 0.1,
+        seed: 3,
+        eval_every: 2,
+    };
+    let frozen = frozen_per_sample_loop(&model, &train, &test, &cfg);
+    let engine = Trainer::new(cfg)
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
+        .unwrap();
+    // Bit-for-bit: parameters, every history record, final metrics.
+    assert_eq!(frozen, engine);
+}
+
+#[test]
+fn qubatch_reproduces_frozen_qubatch_loop_bit_for_bit() {
+    let model = small_vqc(Decoder::LayerWise { rows: 4 });
+    let (train, test) = split(synthetic_samples(6, 16, 4), 4);
+    let cfg = TrainConfig {
+        epochs: 5,
+        initial_lr: 0.1,
+        seed: 9,
+        eval_every: 2,
+    };
+    for batch_size in [1usize, 2, 3] {
+        let frozen = frozen_qubatch_loop(&model, &train, &test, &cfg, batch_size);
+        let engine = Trainer::new(cfg)
+            .fit(&mut QuBatchVqc::new(&model, &train, &test, batch_size).unwrap())
+            .unwrap();
+        assert_eq!(frozen, engine, "engine diverged at batch {batch_size}");
+    }
+}
+
+#[test]
+fn qubatch_through_explicit_statevector_backend_is_bit_identical() {
+    let model = small_vqc(Decoder::LayerWise { rows: 4 });
+    let (train, test) = split(synthetic_samples(4, 16, 4), 2);
+    let cfg = TrainConfig::smoke(3);
+    let owned = Trainer::new(cfg)
+        .fit(&mut QuBatchVqc::new(&model, &train, &test, 2).unwrap())
+        .unwrap();
+    let backend = StatevectorBackend::default();
+    let borrowed = Trainer::new(cfg)
+        .fit(&mut QuBatchVqc::with_backend(&model, &train, &test, 2, &backend).unwrap())
+        .unwrap();
+    assert_eq!(owned, borrowed);
 }
 
 /// Frozen copy of the pre-rewire per-sample epoch: fused forward pass
@@ -449,7 +693,7 @@ impl<'a> FrozenPerSample<'a> {
             model,
             train,
             test,
-            targets: train.iter().map(crate::pipeline::normalized_target).collect(),
+            targets: train.iter().map(normalized_target).collect(),
         }
     }
 }
@@ -469,10 +713,7 @@ impl TrainStep for FrozenPerSample<'_> {
         params: &mut [f64],
         optimizer: &mut dyn qugeo_nn::optim::Optimizer,
     ) -> Result<EpochReport, QuGeoError> {
-        use qugeo_qsim::{
-            adjoint_gradient, BatchedState, DiagonalObservable, QuantumBackend,
-            StatevectorBackend,
-        };
+        use qugeo_qsim::adjoint_gradient;
         let backend = StatevectorBackend::default();
         let mut loss_sum = 0.0;
         let mut norm_sum = 0.0;
@@ -526,7 +767,7 @@ fn rewired_training_matches_frozen_pre_rewire_loop() {
         .fit(&mut FrozenPerSample::new(&model, &train, &test))
         .unwrap();
     let rewired = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).unwrap())
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).unwrap())
         .unwrap();
 
     assert_eq!(frozen.history.len(), rewired.history.len());
@@ -567,7 +808,7 @@ fn strategies_reuse_adjoint_workspace_without_reallocating() {
         eval_every: 0,
     };
 
-    let mut per_sample = PerSampleVqc::new(&model, &train, &test).unwrap();
+    let mut per_sample = MiniBatchVqc::new(&model, &train, &test, 1).unwrap();
     Trainer::new(cfg).fit(&mut per_sample).unwrap();
     // 5 train samples × 4 epochs = 20 adjoint calls.
     assert_eq!(per_sample.adjoint_workspace().allocations(), 1);
@@ -586,10 +827,10 @@ fn strategies_reuse_adjoint_workspace_without_reallocating() {
     assert_eq!(qubatch.adjoint_workspace().reuses(), 11);
 }
 
-/// A per-sample loop identical to [`PerSampleVqc`]'s adjoint path except
-/// that every step drops the workspace — forcing a full gradient-aware
-/// structure compile on every single step. Reference arm of the
-/// bind-vs-recompile training differential below.
+/// A per-sample loop identical to [`MiniBatchVqc`]'s adjoint path at
+/// batch size 1 except that every step drops the workspace — forcing a
+/// full gradient-aware structure compile on every single step. Reference
+/// arm of the bind-vs-recompile training differential below.
 struct RecompileEveryStep<'a> {
     model: &'a QuGeoVqc,
     train: &'a [ScaledSample],
@@ -605,7 +846,7 @@ impl<'a> RecompileEveryStep<'a> {
             model,
             train,
             test,
-            targets: train.iter().map(crate::pipeline::normalized_target).collect(),
+            targets: train.iter().map(normalized_target).collect(),
             encoded: train.iter().map(|s| model.encode(&s.seismic).unwrap()).collect(),
             recompiles: 0,
         }
@@ -627,7 +868,7 @@ impl TrainStep for RecompileEveryStep<'_> {
         params: &mut [f64],
         optimizer: &mut dyn qugeo_nn::optim::Optimizer,
     ) -> Result<EpochReport, QuGeoError> {
-        use qugeo_qsim::{AdjointWorkspace, BatchedState, QuantumBackend, StatevectorBackend};
+        use qugeo_qsim::AdjointWorkspace;
         let backend = StatevectorBackend::default();
         let mut loss_sum = 0.0;
         let mut norm_sum = 0.0;
@@ -688,7 +929,7 @@ fn cached_training_loop_compiles_once_and_is_bit_identical_to_recompiling() {
     let reference = Trainer::new(cfg).fit(&mut recompiling).unwrap();
     assert_eq!(recompiling.recompiles, 12, "4 samples x 3 epochs");
 
-    let mut cached = PerSampleVqc::new(&model, &train, &test).unwrap();
+    let mut cached = MiniBatchVqc::new(&model, &train, &test, 1).unwrap();
     let run = Trainer::new(cfg).fit(&mut cached).unwrap();
     assert_eq!(cached.adjoint_workspace().recompiles(), 1);
     assert_eq!(cached.adjoint_workspace().rebinds(), 11);

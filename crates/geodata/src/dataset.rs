@@ -83,9 +83,7 @@ impl DatasetConfig {
 /// # fn main() -> Result<(), qugeo_geodata::GeodataError> {
 /// let config = DatasetConfig::small_for_tests(4, 7)?;
 /// let dataset = Dataset::generate(&config)?;
-/// let (train, test) = dataset.split(3);
-/// assert_eq!(train.len(), 3);
-/// assert_eq!(test.len(), 1);
+/// assert_eq!(dataset.len(), 4);
 /// # Ok(())
 /// # }
 /// ```
@@ -180,24 +178,6 @@ impl Dataset {
     /// Iterator over the samples.
     pub fn iter(&self) -> std::slice::Iter<'_, Sample> {
         self.samples.iter()
-    }
-
-    /// Splits into `(first n, rest)` — the paper's 400/100 train/test
-    /// split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn split(&self, n: usize) -> (Self, Self) {
-        assert!(n <= self.len(), "split point beyond dataset");
-        (
-            Self {
-                samples: self.samples[..n].to_vec(),
-            },
-            Self {
-                samples: self.samples[n..].to_vec(),
-            },
-        )
     }
 
     /// Saves the dataset to a compact binary cache file.
@@ -387,23 +367,6 @@ mod tests {
         cfg.seed = 99;
         let b = Dataset::generate(&cfg).unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn split_partitions() {
-        let ds = Dataset::generate(&tiny_config(4)).unwrap();
-        let (train, test) = ds.split(3);
-        assert_eq!(train.len(), 3);
-        assert_eq!(test.len(), 1);
-        assert_eq!(train.samples()[0], ds.samples()[0]);
-        assert_eq!(test.samples()[0], ds.samples()[3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond dataset")]
-    fn split_out_of_range_panics() {
-        let ds = Dataset::from_samples(vec![]);
-        let _ = ds.split(1);
     }
 
     #[test]

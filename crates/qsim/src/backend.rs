@@ -21,9 +21,9 @@
 //! * [`ShotSamplerBackend`] — exact state evolution but **finite-shot**
 //!   measurement statistics with a seedable RNG, the hardware-realism
 //!   axis of arXiv:2503.05009;
-//! * [`NoisyBackend`] — stochastic Pauli noise injected per fused
-//!   operation plus a readout-error map, wrapping the channels of
-//!   [`crate::noise`].
+//! * [`NoisyBackend`] — stochastic Pauli noise injected once per fused
+//!   operation (not per source gate) plus a readout-error map, executing
+//!   the channels of [`crate::noise`].
 //!
 //! Capability flags drive gradient routing: callers pick adjoint
 //! differentiation when [`QuantumBackend::supports_adjoint_gradient`]
@@ -476,7 +476,7 @@ impl ShotSamplerBackend {
     fn sample_member(&self, batch: &BatchedState, b: usize, call: u64) -> Result<Vec<f64>, QsimError> {
         let probs = batch.member_probabilities(b)?;
         let counts = sample_counts(&probs, self.shots, mix_seed(self.seed, call, b as u64))?;
-        Ok(empirical_probabilities(&counts))
+        empirical_probabilities(&counts)
     }
 }
 
@@ -546,10 +546,16 @@ impl QuantumBackend for ShotSamplerBackend {
 }
 
 /// NISQ backend: exact evolution corrupted by one stochastic Pauli-noise
-/// trajectory per member (depolarizing channels unravelled exactly as in
-/// [`crate::noise::NoisyExecutor`], but at **fused-op granularity** —
-/// after compilation each fused op stands in for one hardware-native
-/// gate), plus the symmetric readout-error map applied at measurement.
+/// trajectory per member, plus the symmetric readout-error map applied
+/// at measurement. Each depolarizing channel of the [`NoiseModel`] is
+/// unravelled into a uniformly random X, Y or Z inserted with the
+/// channel's probability.
+///
+/// Noise is inserted at **fused-op granularity**: after every fused op of
+/// the compiled circuit, not after every source gate — each fused op
+/// stands in for one hardware-native gate. On the paper ansatz that is
+/// 97 insertion points rather than 192 (see the [`crate::noise`] module
+/// docs).
 ///
 /// One `run_batch` call is one trajectory per member. Monte-Carlo
 /// averaging over trajectories, when wanted, is the caller's loop —

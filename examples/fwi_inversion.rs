@@ -19,7 +19,7 @@
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::{scale_forward_model, FwScalingConfig};
 use qugeo::profile::{column_for_distance, compare_interfaces, profile_similarity, vertical_profile};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_geodata::scaling::{denormalize_velocity, normalize_velocity, ScaledLayout};
 use qugeo_geodata::{Dataset, DatasetConfig};
 use qugeo_wavesim::{Grid, SpaceOrder, Survey};
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 11,
         eval_every: 0,
     })
-    .fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+    .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
     println!(
         "trained Q-M-LY: test SSIM {:.4}, MSE {:.6}",
         outcome.final_ssim, outcome.final_mse

@@ -10,14 +10,20 @@
 //! measures how prediction quality degrades when the trained Q-M-LY
 //! circuit runs with (a) depolarizing gate noise + readout error, and
 //! (b) finite measurement shots instead of exact expectation values.
+//! Both run through the ordinary `predict_many_with` entry point with a
+//! [`qugeo_qsim::NoisyBackend`] or [`qugeo_qsim::ShotSamplerBackend`];
+//! gate noise is inserted once per fused op of the compiled circuit
+//! (see `qugeo_qsim::noise`).
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::{normalized_target, scale_d_sample};
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_geodata::{Dataset, DatasetConfig};
 use qugeo_metrics::ssim;
-use qugeo_qsim::noise::{NoiseModel, NoisyExecutor};
+use qugeo_qsim::noise::NoiseModel;
+use qugeo_qsim::{NoisyBackend, ShotSamplerBackend};
+use qugeo_tensor::Array2;
 use qugeo_wavesim::{Grid, SpaceOrder, Survey};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,18 +51,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 5,
         eval_every: 0,
     })
-    .fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+    .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
     println!("clean test SSIM: {:.4}\n", outcome.final_ssim);
 
-    // (a) gate + readout noise sweep.
-    println!("depolarizing-noise sweep (64 trajectories, readout flip 1%):");
+    // (a) gate + readout noise sweep. Each test sample is replicated
+    // across 64 batch members, and each member is one independent noise
+    // trajectory. Q-M-LY's decoder is affine in the probabilities, so the
+    // mean of the decoded maps is the map of the mean distribution.
+    const TRAJECTORIES: usize = 64;
+    println!("depolarizing-noise sweep ({TRAJECTORIES} trajectories, readout flip 1%):");
     println!("  gate error   mean SSIM");
     for p in [0.0, 0.001, 0.005, 0.02, 0.05] {
         let noise = NoiseModel::uniform_depolarizing(p)?.with_readout_flip(0.01)?;
-        let executor = NoisyExecutor::new(noise, 64, 77);
+        let backend = NoisyBackend::new(noise, 77);
         let mut total = 0.0;
         for s in &test {
-            let pred = model.predict_noisy(&s.seismic, &outcome.params, &executor)?;
+            let replicas = vec![s.seismic.as_slice(); TRAJECTORIES];
+            let maps = model.predict_many_with(&replicas, &outcome.params, &backend)?;
+            let (rows, cols) = maps[0].shape();
+            let pred = Array2::from_fn(rows, cols, |r, c| {
+                maps.iter().map(|m| m[(r, c)]).sum::<f64>() / TRAJECTORIES as f64
+            });
             total += ssim(&pred, &normalized_target(s))?;
         }
         println!("  {:>10.3}   {:.4}", p, total / test.len() as f64);
@@ -65,11 +80,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (b) finite-shot sweep.
     println!("\nfinite-shot sweep (ideal circuit, sampled readout):");
     println!("  shots     mean SSIM");
+    let seismic: Vec<&[f64]> = test.iter().map(|s| s.seismic.as_slice()).collect();
     for shots in [64usize, 256, 1024, 8192, 65536] {
+        let backend = ShotSamplerBackend::new(shots, 100);
+        let preds = model.predict_many_with(&seismic, &outcome.params, &backend)?;
         let mut total = 0.0;
-        for (i, s) in test.iter().enumerate() {
-            let pred = model.predict_sampled(&s.seismic, &outcome.params, shots, 100 + i as u64)?;
-            total += ssim(&pred, &normalized_target(s))?;
+        for (s, pred) in test.iter().zip(&preds) {
+            total += ssim(pred, &normalized_target(s))?;
         }
         println!("  {:>6}    {:.4}", shots, total / test.len() as f64);
     }

@@ -12,7 +12,7 @@
 
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::scale_d_sample;
-use qugeo::train::{MetricsRecorder, PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MetricsRecorder, MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_geodata::{Dataset, DatasetConfig};
 use qugeo_wavesim::{Grid, SpaceOrder, Survey};
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // metrics callback recording per-epoch wall-clock and gradient norm.
     let outcome = Trainer::new(train_cfg)
         .callback(MetricsRecorder)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
 
     for stats in outcome.history.iter().filter(|s| s.test_ssim.is_some()) {
         println!(

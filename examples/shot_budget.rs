@@ -21,7 +21,7 @@
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::pipeline::{normalized_target, scale_d_sample};
 use qugeo::session::InferenceSession;
-use qugeo::train::{PerSampleVqc, TrainConfig, Trainer};
+use qugeo::train::{MiniBatchVqc, TrainConfig, Trainer};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_geodata::{Dataset, DatasetConfig};
 use qugeo_metrics::{mse, ssim};
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 5,
         eval_every: 0,
     })
-    .fit(&mut PerSampleVqc::new(&model, &train, &test)?)?;
+    .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1)?)?;
 
     // Exact reference predictions through a statevector session.
     let requests: Vec<&[f64]> = test.iter().map(|s| s.seismic.as_slice()).collect();

@@ -11,16 +11,16 @@
 #   ./scripts/verify.sh kernel-smoke # SIMD/scalar differential + throughput gate only
 #   ./scripts/verify.sh chaos-smoke  # fault-injection / recovery gate only
 #   ./scripts/verify.sh train-smoke  # data-parallel determinism gate only
+#   ./scripts/verify.sh bench-build  # perfbench/ type-check gate only
 #
 # The lint gate keeps `cargo clippy` warning-free across every target
 # (lib, tests, benches, examples, bins) — warnings are errors, and use
-# of deprecated items is denied explicitly so no in-tree caller
-# regresses onto the legacy `trainer::train_*` wrappers (the wrappers
-# themselves carry `#[allow]` where they must self-reference). The docs
-# gate enforces that `cargo doc --no-deps` stays warning-free (warnings
-# are promoted to errors via RUSTDOCFLAGS) and that every doctest passes
-# — run both before sending any PR that touches public API or
-# documentation.
+# of deprecated items is denied too, so a public item leaves the API by
+# being deleted together with its callers, never by lingering behind a
+# `#[deprecated]` wrapper. The docs gate enforces that `cargo doc
+# --no-deps` stays warning-free (warnings are promoted to errors via
+# RUSTDOCFLAGS) and that every doctest passes — run both before sending
+# any PR that touches public API or documentation.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -147,6 +147,17 @@ train_smoke() {
         --smoke --json target/BENCH_TRAIN.smoke.json
 }
 
+# Benchmark build gate: perfbench/ is its own Cargo workspace, so the
+# --workspace build, test and clippy gates never compile it, and a
+# public-API change could break the benchmark unnoticed. This
+# type-checks it against the current crates; --locked turns a
+# dependency change that would rewrite perfbench/Cargo.lock into a
+# failure instead of a silent edit under perfbench/.
+bench_build() {
+    echo "==> cargo check --locked --offline --manifest-path perfbench/Cargo.toml (bench-build)"
+    cargo check --locked --offline --quiet --manifest-path perfbench/Cargo.toml
+}
+
 case "${1:-all}" in
     docs) docs_gate ;;
     lint) lint_gate ;;
@@ -157,9 +168,11 @@ case "${1:-all}" in
     kernel-smoke|--kernel-smoke) kernel_smoke ;;
     chaos-smoke|--chaos-smoke) chaos_smoke ;;
     train-smoke|--train-smoke) train_smoke ;;
+    bench-build|--bench-build) bench_build ;;
     all)
         tier1
         lint_gate
+        bench_build
         docs_gate
         bench_smoke
         serve_smoke
@@ -169,7 +182,7 @@ case "${1:-all}" in
         train_smoke
         ;;
     *)
-        echo "usage: $0 [all|tier1|docs|lint|bench-smoke|serve-smoke|compiler-smoke|kernel-smoke|chaos-smoke|train-smoke]" >&2
+        echo "usage: $0 [all|tier1|docs|lint|bench-smoke|serve-smoke|compiler-smoke|kernel-smoke|chaos-smoke|train-smoke|bench-build]" >&2
         exit 2
         ;;
 esac

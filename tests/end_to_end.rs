@@ -7,7 +7,7 @@ use qugeo::pipeline::{
     scale_cnn, scale_d_sample, scale_forward_model, train_cnn_scaler, CnnScalingConfig,
     FwScalingConfig,
 };
-use qugeo::train::{evaluate_vqc, PerSampleVqc, QuBatchVqc, TrainConfig, Trainer};
+use qugeo::train::{evaluate_vqc, MiniBatchVqc, QuBatchVqc, TrainConfig, Trainer};
 use qugeo_geodata::scaling::ScaledLayout;
 use qugeo_geodata::{Dataset, DatasetConfig};
 use qugeo_wavesim::{Grid, SpaceOrder, Survey};
@@ -45,7 +45,7 @@ fn d_sample_pipeline_trains_and_improves() {
     let (mse_before, _) = evaluate_vqc(&model, &init, &test).expect("eval");
 
     let outcome = Trainer::new(TrainConfig::smoke(12))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).expect("strategy"))
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).expect("strategy"))
         .expect("training");
     assert!(
         outcome.final_mse < mse_before,
@@ -65,7 +65,7 @@ fn fw_pipeline_runs_end_to_end() {
 
     let model = QuGeoVqc::new(VqcConfig::paper_pixel_wise()).expect("model");
     let outcome = Trainer::new(TrainConfig::smoke(8))
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).expect("strategy"))
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).expect("strategy"))
         .expect("training");
     let first = outcome.history.first().expect("history").train_loss;
     let last = outcome.history.last().expect("history").train_loss;
@@ -106,7 +106,7 @@ fn batched_and_unbatched_training_agree_at_batch_one() {
     let model = QuGeoVqc::new(VqcConfig::paper_layer_wise()).expect("model");
     let cfg = TrainConfig::smoke(4);
     let solo = Trainer::new(cfg)
-        .fit(&mut PerSampleVqc::new(&model, &train, &test).expect("strategy"))
+        .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).expect("strategy"))
         .expect("solo");
     let batched = Trainer::new(cfg)
         .fit(&mut QuBatchVqc::new(&model, &train, &test, 1).expect("strategy"))
@@ -135,7 +135,7 @@ fn decoders_share_the_same_pipeline() {
         })
         .expect("model");
         let outcome = Trainer::new(TrainConfig::smoke(3))
-            .fit(&mut PerSampleVqc::new(&model, &train, &test).expect("strategy"))
+            .fit(&mut MiniBatchVqc::new(&model, &train, &test, 1).expect("strategy"))
             .expect("training");
         assert!(outcome.final_mse.is_finite());
         assert_eq!(outcome.params.len(), 576);

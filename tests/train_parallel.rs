@@ -15,8 +15,8 @@ use qugeo::decoder::Decoder;
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::train::{
     Callback, CallbackFlow, DataParallel, EpochContext, EpochStats, MiniBatchVqc,
-    PerSampleVqc, PeriodicCheckpoint, QuBatchVqc, ReplicaThreads, ScheduleSpec, Sweep,
-    SweepSpace, SweepStrategy, TrainConfig, Trainer,
+    PeriodicCheckpoint, QuBatchVqc, ReplicaThreads, ScheduleSpec, Sweep, SweepSpace, SweepStrategy,
+    TrainConfig, Trainer,
 };
 use qugeo::QuGeoError;
 use qugeo_geodata::scaling::ScaledSample;
@@ -70,7 +70,6 @@ fn split(samples: Vec<ScaledSample>, at: usize) -> (Vec<ScaledSample>, Vec<Scale
 
 #[derive(Clone, Copy, Debug)]
 enum StrategyKind {
-    PerSample,
     MiniBatch(usize),
     QuBatch(usize),
 }
@@ -80,7 +79,6 @@ impl StrategyKind {
     /// step into exactly one unit — the plain-strategy bitwise anchor.
     fn anchor_micro(self) -> usize {
         match self {
-            Self::PerSample => 1,
             Self::MiniBatch(b) | Self::QuBatch(b) => b,
         }
     }
@@ -177,17 +175,6 @@ fn fit_with(
     let sink = Arc::new(Mutex::new(Vec::new()));
     let trainer = build_trainer(cfg, opt, sched, Arc::clone(&sink));
     let outcome = match (strategy, parallel) {
-        (StrategyKind::PerSample, None) => {
-            trainer.fit(&mut PerSampleVqc::new(model, train, test).unwrap())
-        }
-        (StrategyKind::PerSample, Some((r, micro, th))) => {
-            let inner = PerSampleVqc::new(model, train, test).unwrap();
-            let mut dp = DataParallel::new(&inner, r)
-                .unwrap()
-                .micro_batch(micro)
-                .threading(th);
-            trainer.fit(&mut dp)
-        }
         (StrategyKind::MiniBatch(b), None) => {
             trainer.fit(&mut MiniBatchVqc::new(model, train, test, b).unwrap())
         }
@@ -235,7 +222,7 @@ fn replicas_are_bit_identical_to_plain_for_every_strategy_and_optimizer() {
         eval_every: 0,
     };
     let strategies = [
-        StrategyKind::PerSample,
+        StrategyKind::MiniBatch(1),
         StrategyKind::MiniBatch(3),
         StrategyKind::QuBatch(2),
     ];
