@@ -125,7 +125,8 @@ impl Default for FwScalingConfig {
 ///
 /// # Errors
 ///
-/// Returns an error if any sample has fewer sources than the layout.
+/// Returns an error if any sample has fewer sources than the layout, or
+/// the layout keeps none.
 pub fn scale_d_sample(
     dataset: &Dataset,
     layout: &ScaledLayout,
@@ -245,7 +246,8 @@ impl Default for CnnScalingConfig {
 ///
 /// # Errors
 ///
-/// Returns an error for empty datasets or modelling/network failures.
+/// Returns an error for empty datasets, a layout that keeps no sources or
+/// more than the data has, or modelling/network failures.
 pub fn train_cnn_scaler(
     aux: &Dataset,
     layout: &ScaledLayout,
@@ -266,7 +268,7 @@ pub fn train_cnn_scaler(
     }
 
     // Build the ⟨gather, physics-scaled group⟩ training pairs.
-    let picks = select_source_indices(num_sources, layout.num_sources);
+    let picks = select_source_indices(num_sources, layout.num_sources)?;
     let group_len = layout.group_len();
     let mut inputs: Vec<Array2> = Vec::new();
     let mut targets: Vec<Vec<f64>> = Vec::new();
@@ -306,7 +308,8 @@ pub fn train_cnn_scaler(
 ///
 /// # Errors
 ///
-/// Returns an error if gather shapes disagree with the compressor.
+/// Returns an error if gather shapes disagree with the compressor, or if
+/// the layout keeps no sources or more than a sample has.
 pub fn scale_cnn(
     dataset: &Dataset,
     compressor: &CnnCompressor,
@@ -323,7 +326,7 @@ pub fn scale_cnn(
                 ),
             });
         }
-        let picks = select_source_indices(num_sources, layout.num_sources);
+        let picks = select_source_indices(num_sources, layout.num_sources)?;
         let mut seismic = Vec::with_capacity(layout.seismic_len());
         for &src in &picks {
             let gather = standardize_gather(&s.seismic.slice(src));
@@ -513,6 +516,109 @@ mod tests {
             mean_cosine > 0.5,
             "CNN compression failed to track physics scaling (cosine {mean_cosine:.3})"
         );
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn bits_digest(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn classical_pipeline_is_pinned_bit_for_bit() {
+        // Compressor training, Q-D-CNN scaling and a CNN-LY fit on the
+        // compressed data, end to end. The digests are those of the plain
+        // scalar loops the `qugeo-nn` kernels replaced; any change to a
+        // conv, ReLU, linear or Adam accumulation order moves them.
+        use crate::train::{RegressorStep, TrainConfig, Trainer};
+        use qugeo_nn::models::{CnnRegressor, RegressorConfig};
+
+        let ds = tiny_dataset(3);
+        let layout = ScaledLayout::paper_default();
+        let compressor = train_cnn_scaler(
+            &ds,
+            &layout,
+            &fast_fw(),
+            &CnnScalingConfig {
+                epochs: 3,
+                initial_lr: 0.02,
+                seed: 3,
+            },
+        )
+        .unwrap();
+        let cnn = scale_cnn(&ds, &compressor, &layout).unwrap();
+        let (train, test) = cnn.try_split(2).unwrap();
+        let mut model = CnnRegressor::new(RegressorConfig::layer_wise(), 5).unwrap();
+        let outcome = Trainer::new(TrainConfig {
+            epochs: 4,
+            initial_lr: 0.02,
+            seed: 1,
+            eval_every: 0,
+        })
+        .fit(&mut RegressorStep::new(&mut model, &train, &test, layout.group_len()).unwrap())
+        .unwrap();
+
+        let features: Vec<f64> = cnn.samples.iter().flat_map(|s| s.seismic.clone()).collect();
+        let digests = [
+            bits_digest(&compressor.params()),
+            bits_digest(&features),
+            bits_digest(&outcome.params),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0xb329_e816_1f93_ff64,
+                0xc364_1be2_36a8_2220,
+                0xa798_2962_f5ef_6f32
+            ],
+            "compressor params, Q-D-CNN features, CNN-LY params"
+        );
+    }
+
+    fn sourceless_layout() -> ScaledLayout {
+        ScaledLayout {
+            num_sources: 0,
+            ..ScaledLayout::paper_default()
+        }
+    }
+
+    #[test]
+    fn cnn_scaler_training_rejects_a_layout_without_sources() {
+        let ds = tiny_dataset(1);
+        let result = train_cnn_scaler(
+            &ds,
+            &sourceless_layout(),
+            &fast_fw(),
+            &CnnScalingConfig::default(),
+        );
+        assert!(matches!(result, Err(QuGeoError::Data(_))), "{result:?}");
+    }
+
+    #[test]
+    fn cnn_scaling_rejects_a_layout_without_sources() {
+        let ds = tiny_dataset(1);
+        let (_, nt, nr) = ds.samples()[0].seismic.shape();
+        let compressor = CnnCompressor::new(
+            CompressorConfig {
+                input_h: nt,
+                input_w: nr,
+                out_features: 64,
+            },
+            0,
+        )
+        .unwrap();
+        let result = scale_cnn(&ds, &compressor, &sourceless_layout());
+        assert!(matches!(result, Err(QuGeoError::Data(_))), "{result:?}");
+    }
+
+    #[test]
+    fn d_sample_scaling_rejects_a_layout_without_sources() {
+        let result = scale_d_sample(&tiny_dataset(1), &sourceless_layout());
+        assert!(matches!(result, Err(QuGeoError::Data(_))), "{result:?}");
     }
 
     #[test]

@@ -63,20 +63,22 @@ pub struct ScaledSample {
 
 /// Picks `wanted` source indices evenly from `total` available.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `wanted` is zero or exceeds `total`.
-pub fn select_source_indices(total: usize, wanted: usize) -> Vec<usize> {
-    assert!(
-        wanted > 0 && wanted <= total,
-        "cannot select {wanted} of {total} sources"
-    );
-    if wanted == 1 {
-        return vec![total / 2];
+/// Returns [`GeodataError::InvalidConfig`] if `wanted` is zero or exceeds
+/// `total`.
+pub fn select_source_indices(total: usize, wanted: usize) -> Result<Vec<usize>, GeodataError> {
+    if wanted == 0 || wanted > total {
+        return Err(GeodataError::InvalidConfig {
+            reason: format!("cannot select {wanted} of {total} sources"),
+        });
     }
-    (0..wanted)
+    if wanted == 1 {
+        return Ok(vec![total / 2]);
+    }
+    Ok((0..wanted)
         .map(|i| (i * (total - 1)) / (wanted - 1))
-        .collect()
+        .collect())
 }
 
 /// The D-Sample baseline: nearest-neighbour resampling of raw seismic
@@ -85,7 +87,7 @@ pub fn select_source_indices(total: usize, wanted: usize) -> Vec<usize> {
 /// # Errors
 ///
 /// Returns [`GeodataError::InvalidConfig`] if the sample has fewer
-/// sources than the layout requires.
+/// sources than the layout requires, or the layout keeps none.
 pub fn d_sample(sample: &Sample, layout: &ScaledLayout) -> Result<ScaledSample, GeodataError> {
     let (num_sources, _, _) = sample.seismic.shape();
     if num_sources < layout.num_sources {
@@ -96,7 +98,7 @@ pub fn d_sample(sample: &Sample, layout: &ScaledLayout) -> Result<ScaledSample, 
             ),
         });
     }
-    let picks = select_source_indices(num_sources, layout.num_sources);
+    let picks = select_source_indices(num_sources, layout.num_sources)?;
     let mut seismic = Vec::with_capacity(layout.seismic_len());
     for &s in &picks {
         let gather = sample.seismic.slice(s);
@@ -164,16 +166,21 @@ mod tests {
 
     #[test]
     fn select_sources_even_coverage() {
-        assert_eq!(select_source_indices(5, 4), vec![0, 1, 2, 4]);
-        assert_eq!(select_source_indices(5, 5), vec![0, 1, 2, 3, 4]);
-        assert_eq!(select_source_indices(5, 1), vec![2]);
-        assert_eq!(select_source_indices(5, 2), vec![0, 4]);
+        assert_eq!(select_source_indices(5, 4).unwrap(), vec![0, 1, 2, 4]);
+        assert_eq!(select_source_indices(5, 5).unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(select_source_indices(5, 1).unwrap(), vec![2]);
+        assert_eq!(select_source_indices(5, 2).unwrap(), vec![0, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "cannot select")]
     fn select_sources_validates() {
-        let _ = select_source_indices(3, 4);
+        for (total, wanted) in [(3, 4), (3, 0), (0, 0), (0, 1)] {
+            let err = select_source_indices(total, wanted).unwrap_err();
+            assert!(
+                matches!(&err, GeodataError::InvalidConfig { reason } if reason.contains("cannot select")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -217,6 +224,19 @@ mod tests {
     fn d_sample_rejects_too_few_sources() {
         let sample = fake_sample(2, 50, 20);
         assert!(d_sample(&sample, &ScaledLayout::paper_default()).is_err());
+    }
+
+    #[test]
+    fn d_sample_rejects_a_layout_without_sources() {
+        let sample = fake_sample(5, 50, 20);
+        let layout = ScaledLayout {
+            num_sources: 0,
+            ..ScaledLayout::paper_default()
+        };
+        assert!(matches!(
+            d_sample(&sample, &layout),
+            Err(GeodataError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

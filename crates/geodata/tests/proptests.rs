@@ -78,9 +78,13 @@ proptest! {
     }
 
     #[test]
-    fn source_selection_is_sorted_unique_in_range(total in 1usize..20, wanted in 1usize..20) {
-        prop_assume!(wanted <= total);
+    fn source_selection_is_sorted_unique_in_range(total in 0usize..20, wanted in 0usize..20) {
         let picks = select_source_indices(total, wanted);
+        if wanted == 0 || wanted > total {
+            prop_assert!(picks.is_err(), "{} of {} must be a typed error", wanted, total);
+            return;
+        }
+        let picks = picks.expect("valid selection");
         prop_assert_eq!(picks.len(), wanted);
         for w in picks.windows(2) {
             prop_assert!(w[1] > w[0], "picks must be strictly increasing");

@@ -28,14 +28,11 @@ impl Relu {
     /// Panics if the shapes differ.
     pub fn backward(&self, x: &Array3, grad_output: &Array3) -> Array3 {
         assert_eq!(x.shape(), grad_output.shape(), "relu shapes must match");
-        let (d0, d1, d2) = x.shape();
-        Array3::from_fn(d0, d1, d2, |i, j, k| {
-            if x[(i, j, k)] > 0.0 {
-                grad_output[(i, j, k)]
-            } else {
-                0.0
-            }
-        })
+        let mut grad = grad_output.clone();
+        for (g, &xi) in grad.as_mut_slice().iter_mut().zip(x.iter()) {
+            *g = if xi > 0.0 { *g } else { 0.0 };
+        }
+        grad
     }
 
     /// Forward pass over a flat vector.

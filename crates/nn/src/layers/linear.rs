@@ -78,14 +78,21 @@ impl Linear {
 
     /// Overwrites parameters from the flat layout of [`Linear::params`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `params.len() != self.num_params()`.
-    pub fn set_params(&mut self, params: &[f64]) {
-        assert_eq!(params.len(), self.num_params(), "linear param count");
-        let w = self.weights.len();
-        self.weights.copy_from_slice(&params[..w]);
-        self.bias.copy_from_slice(&params[w..]);
+    /// Returns [`NnError::ShapeMismatch`] if `params.len() !=
+    /// self.num_params()`; the layer is left unchanged.
+    pub fn set_params(&mut self, params: &[f64]) -> Result<(), NnError> {
+        if params.len() != self.num_params() {
+            return Err(NnError::ShapeMismatch {
+                expected: format!("{} linear parameters", self.num_params()),
+                actual: format!("{}", params.len()),
+            });
+        }
+        let (weights, bias) = params.split_at(self.weights.len());
+        self.weights.copy_from_slice(weights);
+        self.bias.copy_from_slice(bias);
+        Ok(())
     }
 
     /// Forward pass.
@@ -100,9 +107,33 @@ impl Linear {
                 actual: format!("{}", x.len()),
             });
         }
+        let n = self.in_features;
         let mut y = self.bias.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.weights[o * self.in_features..(o + 1) * self.in_features];
+        // Each output adds `Σ w·x` to its bias, the sum taken from -0.0 in
+        // input order as `Iterator::sum` does. Four rows share one sweep
+        // over `x`, so four independent sums are in flight at once.
+        let mut quads = y.chunks_exact_mut(4);
+        for (y4, w4) in (&mut quads).zip(self.weights.chunks_exact(4 * n)) {
+            let (r0, rest) = w4.split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            let mut acc = [-0.0; 4];
+            for ((((&xi, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                acc[0] += w0 * xi;
+                acc[1] += w1 * xi;
+                acc[2] += w2 * xi;
+                acc[3] += w3 * xi;
+            }
+            for (yo, a) in y4.iter_mut().zip(acc) {
+                *yo += a;
+            }
+        }
+        let rest = quads.into_remainder();
+        let done = self.out_features - rest.len();
+        for (yo, row) in rest
+            .iter_mut()
+            .zip(self.weights[done * n..].chunks_exact(n))
+        {
             *yo += row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>();
         }
         Ok(y)
@@ -122,15 +153,18 @@ impl Linear {
             });
         }
         let mut grad_input = vec![0.0; self.in_features];
-        let mut grad_w = vec![0.0; self.weights.len()];
-        for (o, &g) in grad_output.iter().enumerate() {
-            for i in 0..self.in_features {
-                grad_w[o * self.in_features + i] = g * x[i];
-                grad_input[i] += g * self.weights[o * self.in_features + i];
+        let mut grad_params = Vec::with_capacity(self.num_params());
+        for (&g, row) in grad_output
+            .iter()
+            .zip(self.weights.chunks_exact(self.in_features))
+        {
+            grad_params.extend(x.iter().map(|&xi| g * xi));
+            for (gi, &w) in grad_input.iter_mut().zip(row) {
+                *gi += g * w;
             }
         }
-        grad_w.extend_from_slice(grad_output); // dL/db = grad_output
-        Ok((grad_input, grad_w))
+        grad_params.extend_from_slice(grad_output); // dL/db = grad_output
+        Ok((grad_input, grad_params))
     }
 }
 
@@ -148,7 +182,7 @@ mod tests {
     fn known_forward() {
         let mut fc = Linear::new(2, 2, 0).unwrap();
         // W = [[1, 2], [3, 4]], b = [0.5, -0.5]
-        fc.set_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        fc.set_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]).unwrap();
         let y = fc.forward(&[1.0, 1.0]).unwrap();
         assert_eq!(y, vec![3.5, 6.5]);
     }
@@ -177,10 +211,10 @@ mod tests {
             let mut f2 = fc.clone();
             let mut p = base.clone();
             p[idx] += h;
-            f2.set_params(&p);
+            f2.set_params(&p).unwrap();
             let plus = loss(&f2, &x);
             p[idx] -= 2.0 * h;
-            f2.set_params(&p);
+            f2.set_params(&p).unwrap();
             let minus = loss(&f2, &x);
             let fd = (plus - minus) / (2.0 * h);
             assert!((fd - gp[idx]).abs() < 1e-5, "param {idx}");
@@ -202,7 +236,18 @@ mod tests {
         let mut fc = Linear::new(3, 2, 5).unwrap();
         assert_eq!(fc.num_params(), 8);
         let p: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        fc.set_params(&p);
+        fc.set_params(&p).unwrap();
         assert_eq!(fc.params(), p);
+    }
+
+    #[test]
+    fn set_params_rejects_wrong_length_and_keeps_the_layer() {
+        let mut fc = Linear::new(3, 2, 5).unwrap();
+        let before = fc.clone();
+        for len in [0, 7, 9] {
+            let err = fc.set_params(&vec![1.0; len]).unwrap_err();
+            assert!(matches!(err, NnError::ShapeMismatch { .. }), "{err}");
+        }
+        assert_eq!(fc, before);
     }
 }

@@ -7,7 +7,7 @@
 //! the parameters in the same flat order as their `params()` method.
 
 mod activation;
-mod conv;
+pub(crate) mod conv;
 mod linear;
 mod pool;
 

@@ -22,16 +22,14 @@ impl GlobalAvgPool {
     /// Forward pass: per-channel spatial mean.
     pub fn forward(&self, x: &Array3) -> Vec<f64> {
         let (ch, h, w) = x.shape();
-        let n = (h * w) as f64;
+        let plane = h * w;
+        let n = plane as f64;
         (0..ch)
             .map(|c| {
-                let mut acc = 0.0;
-                for i in 0..h {
-                    for j in 0..w {
-                        acc += x[(c, i, j)];
-                    }
-                }
-                acc / n
+                x.as_slice()[c * plane..(c + 1) * plane]
+                    .iter()
+                    .fold(0.0, |acc, v| acc + v)
+                    / n
             })
             .collect()
     }
@@ -45,8 +43,13 @@ impl GlobalAvgPool {
     pub fn backward(&self, x: &Array3, grad_output: &[f64]) -> Array3 {
         let (ch, h, w) = x.shape();
         assert_eq!(grad_output.len(), ch, "one gradient per channel");
-        let n = (h * w) as f64;
-        Array3::from_fn(ch, h, w, |c, _, _| grad_output[c] / n)
+        let plane = h * w;
+        let n = plane as f64;
+        let mut grad = Array3::zeros(ch, h, w);
+        for (c, &g) in grad_output.iter().enumerate() {
+            grad.as_mut_slice()[c * plane..(c + 1) * plane].fill(g / n);
+        }
+        grad
     }
 }
 

@@ -11,6 +11,7 @@
 
 use qugeo_tensor::Array3;
 
+use crate::layers::conv::Dims;
 use crate::layers::{Conv2d, GlobalAvgPool, Linear, Relu};
 use crate::loss::mse_loss;
 use crate::{Model, NnError};
@@ -202,12 +203,9 @@ impl CnnRegressor {
         let grad_z2 = Relu.backward(&z2, &grad_a2);
         let (grad_a1, grad_conv2) = self.conv2.backward(&a1, &grad_z2)?;
         let grad_z1 = Relu.backward(&z1, &grad_a1);
-        let (_, grad_conv1) = self.conv1.backward(&x0, &grad_z1)?;
+        let grad_conv1 = self.conv1.backward_params(&x0, &grad_z1)?;
 
-        let mut grad = grad_conv1;
-        grad.extend(grad_conv2);
-        grad.extend(grad_fc);
-        Ok((loss, grad))
+        Ok((loss, [grad_conv1, grad_conv2, grad_fc].concat()))
     }
 }
 
@@ -225,11 +223,7 @@ impl Model for CnnRegressor {
 
     fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.num_params(), "regressor param count");
-        let (c1, rest) = params.split_at(self.conv1.num_params());
-        let (c2, fc) = rest.split_at(self.conv2.num_params());
-        self.conv1.set_params(c1);
-        self.conv2.set_params(c2);
-        self.fc.set_params(fc);
+        set_layer_params(&mut self.conv1, &mut self.conv2, &mut self.fc, params);
     }
 }
 
@@ -281,7 +275,8 @@ pub struct CnnCompressor {
     conv2: Conv2d,
     fc: Linear,
     flat_len: usize,
-    shape2: (usize, usize, usize),
+    /// Dimensions of the second convolution's input.
+    dims1: Dims,
 }
 
 impl CnnCompressor {
@@ -304,7 +299,7 @@ impl CnnCompressor {
             conv2,
             fc,
             flat_len,
-            shape2: (8, h2, w2),
+            dims1: (4, h1, w1),
         })
     }
 
@@ -313,23 +308,15 @@ impl CnnCompressor {
         &self.config
     }
 
-    fn to_image(&self, gather: &qugeo_tensor::Array2) -> Result<Array3, NnError> {
+    /// The gather as the first convolution's single-channel input.
+    fn image_dims(&self, gather: &qugeo_tensor::Array2) -> Result<Dims, NnError> {
         if gather.shape() != (self.config.input_h, self.config.input_w) {
             return Err(NnError::ShapeMismatch {
                 expected: format!("{}x{}", self.config.input_h, self.config.input_w),
                 actual: format!("{:?}", gather.shape()),
             });
         }
-        Array3::from_vec(
-            1,
-            self.config.input_h,
-            self.config.input_w,
-            gather.as_slice().to_vec(),
-        )
-        .map_err(|e| NnError::ShapeMismatch {
-            expected: "gather image".to_string(),
-            actual: e.to_string(),
-        })
+        Ok((1, self.config.input_h, self.config.input_w))
     }
 
     /// Compresses one shot gather (`input_h × input_w`) into
@@ -339,12 +326,13 @@ impl CnnCompressor {
     ///
     /// Returns [`NnError::ShapeMismatch`] for wrong gather shapes.
     pub fn forward(&self, gather: &qugeo_tensor::Array2) -> Result<Vec<f64>, NnError> {
-        let x0 = self.to_image(gather)?;
-        let z1 = self.conv1.forward(&x0)?;
-        let a1 = Relu.forward(&z1);
-        let z2 = self.conv2.forward(&a1)?;
-        let a2 = Relu.forward(&z2);
-        self.fc.forward(a2.as_slice())
+        let z1 = self
+            .conv1
+            .forward_flat(gather.as_slice(), self.image_dims(gather)?)?;
+        let a1 = Relu.forward_vec(&z1);
+        let z2 = self.conv2.forward_flat(&a1, self.dims1)?;
+        let a2 = Relu.forward_vec(&z2);
+        self.fc.forward(&a2)
     }
 
     /// MSE loss against a target compressed vector, plus the flat
@@ -364,30 +352,22 @@ impl CnnCompressor {
                 actual: format!("{}", target.len()),
             });
         }
-        let x0 = self.to_image(gather)?;
-        let z1 = self.conv1.forward(&x0)?;
-        let a1 = Relu.forward(&z1);
-        let z2 = self.conv2.forward(&a1)?;
-        let a2 = Relu.forward(&z2);
-        let out = self.fc.forward(a2.as_slice())?;
+        let (x0, dims0) = (gather.as_slice(), self.image_dims(gather)?);
+        let z1 = self.conv1.forward_flat(x0, dims0)?;
+        let a1 = Relu.forward_vec(&z1);
+        let z2 = self.conv2.forward_flat(&a1, self.dims1)?;
+        let a2 = Relu.forward_vec(&z2);
+        let out = self.fc.forward(&a2)?;
 
         let (loss, grad_out) = mse_loss(&out, target);
 
-        let (grad_flat, grad_fc) = self.fc.backward(a2.as_slice(), &grad_out)?;
-        let (c, h, w) = self.shape2;
-        let grad_a2 = Array3::from_vec(c, h, w, grad_flat).map_err(|e| NnError::ShapeMismatch {
-            expected: "flat gradient".to_string(),
-            actual: e.to_string(),
-        })?;
-        let grad_z2 = Relu.backward(&z2, &grad_a2);
-        let (grad_a1, grad_conv2) = self.conv2.backward(&a1, &grad_z2)?;
-        let grad_z1 = Relu.backward(&z1, &grad_a1);
-        let (_, grad_conv1) = self.conv1.backward(&x0, &grad_z1)?;
+        let (grad_a2, grad_fc) = self.fc.backward(&a2, &grad_out)?;
+        let grad_z2 = Relu.backward_vec(&z2, &grad_a2);
+        let (grad_a1, grad_conv2) = self.conv2.backward_flat(&a1, self.dims1, &grad_z2)?;
+        let grad_z1 = Relu.backward_vec(&z1, &grad_a1);
+        let grad_conv1 = self.conv1.backward_params_flat(x0, dims0, &grad_z1)?;
 
-        let mut grad = grad_conv1;
-        grad.extend(grad_conv2);
-        grad.extend(grad_fc);
-        Ok((loss, grad))
+        Ok((loss, [grad_conv1, grad_conv2, grad_fc].concat()))
     }
 
     /// Flattened feature count between the convolutions and the FC layer.
@@ -410,12 +390,20 @@ impl Model for CnnCompressor {
 
     fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.num_params(), "compressor param count");
-        let (c1, rest) = params.split_at(self.conv1.num_params());
-        let (c2, fc) = rest.split_at(self.conv2.num_params());
-        self.conv1.set_params(c1);
-        self.conv2.set_params(c2);
-        self.fc.set_params(fc);
+        set_layer_params(&mut self.conv1, &mut self.conv2, &mut self.fc, params);
     }
+}
+
+/// Splits a flat `[conv1 | conv2 | fc]` vector whose total length the
+/// caller has checked, and writes each part into its layer.
+fn set_layer_params(conv1: &mut Conv2d, conv2: &mut Conv2d, fc: &mut Linear, params: &[f64]) {
+    let (c1, rest) = params.split_at(conv1.num_params());
+    let (c2, f) = rest.split_at(conv2.num_params());
+    conv1
+        .set_params(c1)
+        .and_then(|()| conv2.set_params(c2))
+        .and_then(|()| fc.set_params(f))
+        .expect("a checked total splits into the layers' counts");
 }
 
 #[cfg(test)]
@@ -458,6 +446,26 @@ mod tests {
         let p: Vec<f64> = (0..m.num_params()).map(|i| (i as f64) * 1e-3).collect();
         m.set_params(&p);
         assert_eq!(m.params(), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "regressor param count")]
+    fn regressor_set_params_panics_on_wrong_length() {
+        let mut m = CnnRegressor::new(RegressorConfig::layer_wise(), 1).unwrap();
+        m.set_params(&[0.0; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "compressor param count")]
+    fn compressor_set_params_panics_on_wrong_length() {
+        let cfg = CompressorConfig {
+            input_h: 60,
+            input_w: 24,
+            out_features: 8,
+        };
+        let mut m = CnnCompressor::new(cfg, 1).unwrap();
+        let n = m.num_params();
+        m.set_params(&vec![0.0; n + 1]);
     }
 
     #[test]

@@ -152,12 +152,18 @@ impl Optimizer for Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        for (((p, &g), m), v) in params
+            .iter_mut()
+            .zip(grad)
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+        {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / b1t;
+            let v_hat = *v / b2t;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -33,10 +33,10 @@ proptest! {
         let mut f2 = fc.clone();
         let mut p = fc.params();
         p[pi] += h;
-        f2.set_params(&p);
+        f2.set_params(&p).expect("param count");
         let plus = loss(&f2, &x);
         p[pi] -= 2.0 * h;
-        f2.set_params(&p);
+        f2.set_params(&p).expect("param count");
         let minus = loss(&f2, &x);
         let fd = (plus - minus) / (2.0 * h);
         prop_assert!((fd - gp[pi]).abs() < 1e-5, "param {}: {} vs {}", pi, fd, gp[pi]);
@@ -55,35 +55,83 @@ proptest! {
     fn conv_gradient_correct_for_random_configs(
         in_ch in 1usize..3,
         out_ch in 1usize..3,
-        stride in 1usize..3,
+        kernel in (1usize..=3).prop_map(|k| 2 * k + 1),
+        stride in 1usize..=4,
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
         seed in 0u64..1000,
     ) {
-        let conv = Conv2d::new(in_ch, out_ch, 3, stride, seed).expect("layer");
-        let x = Array3::from_fn(in_ch, 9, 9, |c, i, j| {
-            (((c * 81 + i * 9 + j) as f64) * 0.37).sin()
+        // Kernels 3/5/7 and strides 1–4 cover the compressor's 7/4 and
+        // 5/4 layers; the input is never square.
+        let (h, w) = (kernel + extra_h, kernel + extra_h + 1 + extra_w);
+        let conv = Conv2d::new(in_ch, out_ch, kernel, stride, seed).expect("layer");
+        let x = Array3::from_fn(in_ch, h, w, |c, i, j| {
+            (((c * h * w + i * w + j) as f64) * 0.37).sin()
         });
         let y = conv.forward(&x).expect("forward");
         let grad_out = y.map(|v| 2.0 * v); // d/dy of sum(y²)
-        let (_, gp) = conv.backward(&x, &grad_out).expect("backward");
+        let (gx, gp) = conv.backward(&x, &grad_out).expect("backward");
 
-        let loss = |conv: &Conv2d| -> f64 {
-            conv.forward(&x).expect("forward").iter().map(|v| v * v).sum()
+        let loss = |conv: &Conv2d, x: &Array3| -> f64 {
+            conv.forward(x).expect("forward").iter().map(|v| v * v).sum()
         };
-        let h = 1e-6;
+        let h_step = 1e-6;
         let pi = (seed as usize) % conv.num_params();
         let mut c2 = conv.clone();
         let mut p = conv.params();
-        p[pi] += h;
-        c2.set_params(&p);
-        let plus = loss(&c2);
-        p[pi] -= 2.0 * h;
-        c2.set_params(&p);
-        let minus = loss(&c2);
-        let fd = (plus - minus) / (2.0 * h);
+        p[pi] += h_step;
+        c2.set_params(&p).expect("param count");
+        let plus = loss(&c2, &x);
+        p[pi] -= 2.0 * h_step;
+        c2.set_params(&p).expect("param count");
+        let minus = loss(&c2, &x);
+        let fd = (plus - minus) / (2.0 * h_step);
         prop_assert!(
             (fd - gp[pi]).abs() < 1e-4 * fd.abs().max(1.0),
             "param {}: fd {} vs analytic {}", pi, fd, gp[pi]
         );
+
+        // The input gradient, at a spread of elements (those no window
+        // covers have gradient exactly zero).
+        for probe in 0..4u64 {
+            let flat = ((seed * 7919 + probe * 104_729) as usize) % x.len();
+            let (c0, i0, j0) = (flat / (h * w), (flat % (h * w)) / w, flat % w);
+            let mut xp = x.clone();
+            xp[(c0, i0, j0)] += h_step;
+            let plus = loss(&conv, &xp);
+            xp[(c0, i0, j0)] -= 2.0 * h_step;
+            let minus = loss(&conv, &xp);
+            let fd = (plus - minus) / (2.0 * h_step);
+            prop_assert!(
+                (fd - gx[(c0, i0, j0)]).abs() < 1e-4 * fd.abs().max(1.0),
+                "input ({}, {}, {}): fd {} vs analytic {}", c0, i0, j0, fd, gx[(c0, i0, j0)]
+            );
+        }
+    }
+
+    #[test]
+    fn conv_backward_params_equals_backward_bit_for_bit(
+        in_ch in 1usize..4,
+        out_ch in 1usize..4,
+        kernel in 1usize..=7,
+        stride in 1usize..=4,
+        extra_h in 0usize..12,
+        extra_w in 0usize..12,
+        seed in 0u64..1000,
+    ) {
+        let (h, w) = (kernel + extra_h, kernel + extra_w);
+        let conv = Conv2d::new(in_ch, out_ch, kernel, stride, seed).expect("layer");
+        let x = Array3::from_fn(in_ch, h, w, |c, i, j| {
+            (((c * h * w + i * w + j) as f64 + seed as f64) * 0.61).cos()
+        });
+        // ReLU-shaped output gradient: negative entries become exact zeros.
+        let grad_out = conv.forward(&x).expect("forward").map(|v| v.max(0.0));
+        let (_, full) = conv.backward(&x, &grad_out).expect("backward");
+        let params_only = conv.backward_params(&x, &grad_out).expect("backward_params");
+        prop_assert_eq!(full.len(), params_only.len());
+        for (a, b) in full.iter().zip(&params_only) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -35,10 +35,10 @@ docs_gate() {
 lint_gate() {
     echo "==> cargo clippy --workspace --all-targets (warnings are errors, deprecated denied)"
     cargo clippy --workspace --all-targets --quiet -- -D warnings -D deprecated
-    # The API crates carry #![warn(missing_docs)]; deny it here so an
-    # undocumented public item can never land.
-    echo "==> cargo clippy -p qugeo -p qugeo-qsim (missing public-item docs denied)"
-    cargo clippy -p qugeo -p qugeo-qsim --quiet -- -D warnings -D missing-docs
+    # Deny missing_docs on the API crates so an undocumented public item
+    # can never land.
+    echo "==> cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata (missing public-item docs denied)"
+    cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata --quiet -- -D warnings -D missing-docs
 }
 
 tier1() {
