@@ -2,7 +2,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use qugeo_tensor::{Array2, Array3};
-use qugeo_wavesim::{model_shots, Grid, RickerWavelet, SpaceOrder, Survey};
+use qugeo_wavesim::{model_shot, Grid, RickerWavelet, SpaceOrder, Survey, WavesimError};
 
 use crate::{FlatLayerGenerator, GeodataError, VelocityModel};
 
@@ -101,62 +101,77 @@ impl Dataset {
     /// Synthesises the dataset: draws a random layered model per sample
     /// and runs acoustic forward modelling for every source.
     ///
-    /// Samples are generated on parallel threads (modelling dominates the
-    /// cost).
+    /// Modelling dominates the cost. Every (sample, shot) pair is one work
+    /// item with its own solver; the items are split into contiguous runs
+    /// over `available_parallelism` worker threads, one thread budget for
+    /// the whole dataset. Each gather is written straight into its
+    /// sample's cube in source order, so the result does not depend on
+    /// the worker count.
     ///
     /// # Errors
     ///
-    /// Propagates generator and modelling errors.
+    /// Propagates generator and modelling errors; a modelling error is
+    /// that of the first failing (sample, shot) item.
     pub fn generate(config: &DatasetConfig) -> Result<Self, GeodataError> {
         let generator = FlatLayerGenerator::new(config.grid.nz(), config.grid.nx())?;
         let wavelet = RickerWavelet::new(config.wavelet_hz, config.grid.dt())?;
+        let models: Vec<VelocityModel> = (0..config.num_samples)
+            .map(|i| generator.sample(config.seed.wrapping_add(i as u64)))
+            .collect();
+
+        let sources = config.survey.sources();
+        let receivers = config.survey.receivers();
+        let gather_len = config.grid.nt() * receivers.len();
+        let mut cubes: Vec<Array3> = models
+            .iter()
+            .map(|_| Array3::zeros(sources.len(), config.grid.nt(), receivers.len()))
+            .collect();
+        let mut items: Vec<(&VelocityModel, (usize, usize), &mut [f64])> = Vec::new();
+        for (model, cube) in models.iter().zip(&mut cubes) {
+            for (&source, out) in sources.iter().zip(cube.as_mut_slice().chunks_mut(gather_len)) {
+                items.push((model, source, out));
+            }
+        }
 
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4)
-            .min(config.num_samples.max(1));
-
-        let mut results: Vec<Option<Result<Sample, GeodataError>>> = Vec::new();
-        results.resize_with(config.num_samples, || None);
-        let results_chunks: Vec<_> = results.chunks_mut(config.num_samples.div_ceil(workers.max(1))).collect();
-
-        std::thread::scope(|scope| {
-            let mut start = 0usize;
-            let mut handles = Vec::new();
-            for chunk in results_chunks {
-                let chunk_len = chunk.len();
-                let cfg = &*config;
-                let gen = &generator;
-                let wav = &wavelet;
-                handles.push(scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let i = start + offset;
-                        let model = gen.sample(cfg.seed.wrapping_add(i as u64));
-                        let seismic = model_shots(
-                            model.map(),
-                            &cfg.grid,
-                            &cfg.survey,
-                            wav,
-                            cfg.space_order,
-                        )
-                        .map_err(GeodataError::from);
-                        *slot = Some(seismic.map(|s| Sample {
-                            velocity: model,
-                            seismic: s,
-                        }));
-                    }
-                }));
-                start += chunk_len;
-            }
-            for h in handles {
-                h.join().expect("generation thread panicked");
-            }
+            .unwrap_or(4);
+        let per_worker = items.len().div_ceil(workers).max(1);
+        let outcomes: Vec<Result<(), WavesimError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks_mut(per_worker)
+                .map(|run| {
+                    let wavelet = &wavelet;
+                    scope.spawn(move || {
+                        for (model, source, out) in run {
+                            let gather = model_shot(
+                                model.map(),
+                                &config.grid,
+                                *source,
+                                receivers,
+                                wavelet,
+                                config.space_order,
+                            )?;
+                            out.copy_from_slice(gather.as_slice());
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("synthesis worker panicked"))
+                .collect()
         });
+        // Runs are contiguous and each stops at its first error, so the
+        // first error in run order is the first failing item.
+        outcomes.into_iter().collect::<Result<(), _>>()?;
 
-        let mut samples = Vec::with_capacity(config.num_samples);
-        for slot in results {
-            samples.push(slot.expect("all slots filled")?);
-        }
+        let samples = models
+            .into_iter()
+            .zip(cubes)
+            .map(|(velocity, seismic)| Sample { velocity, seismic })
+            .collect();
         Ok(Self { samples })
     }
 
@@ -351,6 +366,45 @@ mod tests {
             let energy: f64 = s.seismic.iter().map(|v| v * v).sum();
             assert!(energy > 0.0, "seismic data has no signal");
         }
+    }
+
+    #[test]
+    fn every_cube_stacks_its_shots_in_source_order() {
+        // Five samples of two shots: items of one sample may land on
+        // different workers, yet each cube equals a per-sample run.
+        let cfg = tiny_config(5);
+        let ds = Dataset::generate(&cfg).unwrap();
+        let wavelet = RickerWavelet::new(cfg.wavelet_hz, cfg.grid.dt()).unwrap();
+        for s in ds.iter() {
+            let cube = qugeo_wavesim::model_shots(
+                s.velocity.map(),
+                &cfg.grid,
+                &cfg.survey,
+                &wavelet,
+                cfg.space_order,
+            )
+            .unwrap();
+            assert_eq!(s.seismic, cube);
+        }
+    }
+
+    #[test]
+    fn generating_no_samples_gives_an_empty_dataset() {
+        assert!(Dataset::generate(&tiny_config(0)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_modelling_error_is_returned_not_panicked() {
+        // 1 s steps break the CFL limit of every sampled model.
+        let cfg = DatasetConfig {
+            grid: Grid::new(20, 20, 10.0, 1.0, 4).unwrap(),
+            wavelet_hz: 0.05,
+            ..tiny_config(3)
+        };
+        assert!(matches!(
+            Dataset::generate(&cfg),
+            Err(GeodataError::Modeling(WavesimError::CflViolation { .. }))
+        ));
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub enum WavesimError {
         /// What was wrong.
         reason: String,
     },
+    /// The absorbing boundary cannot be built (a non-finite strength).
+    InvalidSponge {
+        /// What was wrong.
+        reason: String,
+    },
     /// A survey with no sources or no receivers.
     EmptySurvey,
 }
@@ -69,6 +74,7 @@ impl fmt::Display for WavesimError {
             }
             Self::InvalidWavelet { reason } => write!(f, "invalid wavelet: {reason}"),
             Self::InvalidVelocity { reason } => write!(f, "invalid velocity model: {reason}"),
+            Self::InvalidSponge { reason } => write!(f, "invalid sponge boundary: {reason}"),
             Self::EmptySurvey => write!(f, "survey needs at least one source and one receiver"),
         }
     }

@@ -105,16 +105,6 @@ impl Grid {
     pub fn courant(&self, max_velocity: f64) -> f64 {
         max_velocity * self.dt / self.dx
     }
-
-    /// Returns a copy with a different step count.
-    pub fn with_nt(&self, nt: usize) -> Self {
-        Self { nt, ..*self }
-    }
-
-    /// Returns a copy with a different time step.
-    pub fn with_dt(&self, dt: f64) -> Self {
-        Self { dt, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -154,13 +144,5 @@ mod tests {
     fn courant_number() {
         let g = Grid::new(10, 10, 10.0, 0.001, 10).unwrap();
         assert!((g.courant(4500.0) - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_modifiers() {
-        let g = Grid::openfwi_default();
-        assert_eq!(g.with_nt(256).nt(), 256);
-        assert_eq!(g.with_dt(0.004).dt(), 0.004);
-        assert_eq!(g.with_nt(256).nx(), 70);
     }
 }

@@ -99,8 +99,10 @@ pub struct Solver {
     sponge: SpongeBoundary,
     /// `c² · dt²` per padded cell.
     vel2dt2: Vec<f64>,
-    /// Per-cell sponge damping factor on the padded grid.
-    damping: Vec<f64>,
+    /// `(padded index, factor)` of every stencil-updated cell the sponge
+    /// damps (factor ≠ 1), in index order. Halo cells are left out: no
+    /// step ever writes them, so they stay zero.
+    damped: Vec<(usize, f64)>,
     nx_pad: usize,
     nz_pad: usize,
     /// Offset of the interior's first cell inside the padded grid (x).
@@ -118,6 +120,8 @@ impl Solver {
     ///   with the grid or contains non-positive / non-finite velocities.
     /// * [`WavesimError::CflViolation`] if `max(c)·dt/dx` exceeds the
     ///   stencil's stability limit.
+    /// * [`WavesimError::InvalidSponge`] if the sponge strength is not
+    ///   finite.
     pub fn new(
         velocity: &Array2,
         grid: &Grid,
@@ -142,6 +146,11 @@ impl Solver {
                 });
             }
             vmax = vmax.max(v);
+        }
+        if !sponge.strength().is_finite() {
+            return Err(WavesimError::InvalidSponge {
+                reason: format!("strength {} is not finite", sponge.strength()),
+            });
         }
         let courant = grid.courant(vmax);
         let limit = order.cfl_limit();
@@ -179,15 +188,16 @@ impl Solver {
 
         // Sponge damping lives inside the sponge strips, which start
         // after the stencil halo; express it on the sponge's own grid
-        // (padded minus halo) and replicate into the halo.
-        let mut damping = vec![1.0; nx_pad * nz_pad];
+        // (padded minus halo) and keep the cells it changes.
         let sponge_nx = nx_pad - 2 * halo;
         let sponge_nz = nz_pad - 2 * halo;
-        for iz in 0..nz_pad {
-            let sz = iz.saturating_sub(halo).min(sponge_nz.saturating_sub(1));
-            for ix in 0..nx_pad {
-                let sx = ix.saturating_sub(halo).min(sponge_nx.saturating_sub(1));
-                damping[iz * nx_pad + ix] = sponge.factor(sx, sz, sponge_nx, sponge_nz);
+        let mut damped = Vec::new();
+        for iz in halo..nz_pad - halo {
+            for ix in halo..nx_pad - halo {
+                let d = sponge.factor(ix - halo, iz - halo, sponge_nx, sponge_nz);
+                if d != 1.0 {
+                    damped.push((iz * nx_pad + ix, d));
+                }
             }
         }
 
@@ -196,7 +206,7 @@ impl Solver {
             order,
             sponge,
             vel2dt2,
-            damping,
+            damped,
             nx_pad,
             nz_pad,
             off_x,
@@ -238,9 +248,11 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Returns [`WavesimError::PositionOutOfGrid`] for out-of-grid source
-    /// or receiver positions, or [`WavesimError::EmptySurvey`] if
-    /// `receivers` is empty.
+    /// * [`WavesimError::PositionOutOfGrid`] for out-of-grid source or
+    ///   receiver positions.
+    /// * [`WavesimError::EmptySurvey`] if `receivers` is empty.
+    /// * [`WavesimError::InvalidWavelet`] if the wavelet is sampled at a
+    ///   step other than the grid's `dt`.
     pub fn run_shot(
         &self,
         source: (usize, usize),
@@ -268,6 +280,15 @@ impl Solver {
         if receivers.is_empty() {
             return Err(WavesimError::EmptySurvey);
         }
+        if wavelet.dt() != self.grid.dt() {
+            return Err(WavesimError::InvalidWavelet {
+                reason: format!(
+                    "wavelet sampled at dt {} but the grid steps {}",
+                    wavelet.dt(),
+                    self.grid.dt()
+                ),
+            });
+        }
         self.check_pos(source.0, source.1)?;
         for &(ix, iz) in receivers {
             self.check_pos(ix, iz)?;
@@ -288,6 +309,11 @@ impl Solver {
         let halo = self.order.half_width();
         let coeffs = self.order.coefficients();
         let inv_dx2 = 1.0 / (self.grid.dx() * self.grid.dx());
+        let stencil: StencilStep = match self.order {
+            SpaceOrder::Order2 => stencil_step::<1>,
+            SpaceOrder::Order4 => stencil_step::<2>,
+            SpaceOrder::Order8 => stencil_step::<4>,
+        };
 
         let nt = self.grid.nt();
         let mut gather = Array2::zeros(nt, receivers.len());
@@ -295,44 +321,19 @@ impl Solver {
 
         for step in 0..nt {
             // Laplacian + leapfrog update over the non-halo region.
-            for iz in halo..self.nz_pad - halo {
-                let row = iz * self.nx_pad;
-                for ix in halo..self.nx_pad - halo {
-                    let idx = row + ix;
-                    let centre = p_cur[idx];
-                    let mut lap = 2.0 * coeffs[0] * centre;
-                    for (k, &a) in coeffs.iter().enumerate().skip(1) {
-                        lap += a
-                            * (p_cur[idx - k]
-                                + p_cur[idx + k]
-                                + p_cur[idx - k * self.nx_pad]
-                                + p_cur[idx + k * self.nx_pad]);
-                    }
-                    lap *= inv_dx2;
-                    p_next[idx] =
-                        2.0 * centre - p_prev[idx] + self.vel2dt2[idx] * lap;
-                }
-            }
+            stencil(&mut p_next, &p_cur, &p_prev, &self.vel2dt2, self.nx_pad, coeffs, inv_dx2);
 
             // Source injection (scaled like the velocity term so the
             // update stays dimensionally consistent).
             p_next[src_idx] += wavelet.sample(step) * self.vel2dt2[src_idx] * inv_dx2;
 
             // Free surface: pressure pinned to zero across the top halo.
-            for iz in 0..halo {
-                let row = iz * self.nx_pad;
-                for ix in 0..self.nx_pad {
-                    p_next[row + ix] = 0.0;
-                }
-            }
+            p_next[..halo * self.nx_pad].fill(0.0);
 
             // Sponge damping on both time levels (Cerjan scheme).
-            for idx in 0..n {
-                let d = self.damping[idx];
-                if d != 1.0 {
-                    p_next[idx] *= d;
-                    p_cur[idx] *= d;
-                }
+            for &(idx, d) in &self.damped {
+                p_next[idx] *= d;
+                p_cur[idx] *= d;
             }
 
             // Record receivers from the freshly computed field.
@@ -359,6 +360,58 @@ impl Solver {
         Array2::from_fn(self.grid.nz(), self.grid.nx(), |iz, ix| {
             field[(iz + self.off_z) * self.nx_pad + (ix + self.off_x)]
         })
+    }
+}
+
+/// One stencil update of a padded field: `(next, cur, prev, c²·dt²,
+/// padded width, coefficients, 1/dx²)`.
+type StencilStep = fn(&mut [f64], &[f64], &[f64], &[f64], usize, &[f64], f64);
+
+/// One leapfrog step of every non-halo cell for a stencil of half-width
+/// `H`, one padded row at a time.
+///
+/// Each row is read through equal-length slices of the centre row, the
+/// rows `±1…±H` away, `prev` and `vel2dt2`, so the cell loop carries no
+/// index arithmetic. Every cell keeps the per-cell operation order of the
+/// plain loop this replaced, one rounding per `*` or `+` (never a fused
+/// multiply-add), so results are bit-identical to it:
+/// `lap = (2·a₀)·c`, then `lap += aₖ·(((x₋ₖ + x₊ₖ) + z₋ₖ) + z₊ₖ)` for
+/// `k = 1..=H`, then `lap *= 1/dx²`, then
+/// `next = ((2·c) − prev) + vel2dt2·lap`.
+fn stencil_step<const H: usize>(
+    next: &mut [f64],
+    cur: &[f64],
+    prev: &[f64],
+    vel2dt2: &[f64],
+    nx_pad: usize,
+    coeffs: &[f64],
+    inv_dx2: f64,
+) {
+    let two_a0 = 2.0 * coeffs[0];
+    let a: [f64; H] = std::array::from_fn(|k| coeffs[k + 1]);
+    let width = nx_pad - 2 * H;
+    let nz_pad = cur.len() / nx_pad;
+    for iz in H..nz_pad - H {
+        let row = iz * nx_pad;
+        let centre_row = &cur[row..row + nx_pad];
+        let centre = &centre_row[H..H + width];
+        let left: [&[f64]; H] = std::array::from_fn(|k| &centre_row[H - 1 - k..][..width]);
+        let right: [&[f64]; H] = std::array::from_fn(|k| &centre_row[H + 1 + k..][..width]);
+        let up: [&[f64]; H] = std::array::from_fn(|k| &cur[row - (k + 1) * nx_pad + H..][..width]);
+        let down: [&[f64]; H] =
+            std::array::from_fn(|k| &cur[row + (k + 1) * nx_pad + H..][..width]);
+        let prev = &prev[row + H..][..width];
+        let vel = &vel2dt2[row + H..][..width];
+        let next = &mut next[row + H..][..width];
+        for j in 0..width {
+            let c = centre[j];
+            let mut lap = two_a0 * c;
+            for k in 0..H {
+                lap += a[k] * (((left[k][j] + right[k][j]) + up[k][j]) + down[k][j]);
+            }
+            lap *= inv_dx2;
+            next[j] = (2.0 * c - prev[j]) + vel[j] * lap;
+        }
     }
 }
 
@@ -407,6 +460,39 @@ mod tests {
         let mut negative = homogeneous(10, 10, 2000.0);
         negative[(3, 3)] = -100.0;
         assert!(Solver::new(&negative, &grid, SpaceOrder::Order2, SpongeBoundary::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_sponge_strength() {
+        // A NaN strength once gave a gather that was 97% NaN.
+        let vel = homogeneous(20, 20, 2000.0);
+        let grid = Grid::new(20, 20, 10.0, 0.001, 10).unwrap();
+        for strength in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                Solver::new(&vel, &grid, SpaceOrder::Order4, SpongeBoundary::new(20, strength)),
+                Err(WavesimError::InvalidSponge { .. })
+            ));
+        }
+        assert!(Solver::new(&vel, &grid, SpaceOrder::Order4, SpongeBoundary::new(20, 0.0)).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_wavelet_sampled_at_another_step() {
+        // A wavelet at another dt would inject a mis-timed source.
+        let vel = homogeneous(20, 20, 2000.0);
+        let grid = Grid::new(20, 20, 10.0, 0.001, 10).unwrap();
+        let s = Solver::new(&vel, &grid, SpaceOrder::Order4, SpongeBoundary::default()).unwrap();
+        let coarse = RickerWavelet::new(15.0, 0.002).unwrap();
+        assert!(matches!(
+            s.run_shot((5, 1), &coarse, &[(10, 1)]),
+            Err(WavesimError::InvalidWavelet { .. })
+        ));
+        assert!(matches!(
+            s.run_shot_with_snapshots((5, 1), &coarse, &[(10, 1)], 1),
+            Err(WavesimError::InvalidWavelet { .. })
+        ));
+        let matching = RickerWavelet::new(15.0, grid.dt()).unwrap();
+        assert!(s.run_shot((5, 1), &matching, &[(10, 1)]).is_ok());
     }
 
     #[test]

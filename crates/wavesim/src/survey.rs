@@ -125,7 +125,11 @@ pub fn model_shot(
 /// Models every shot of the survey, returning a
 /// `(sources × nt × receivers)` cube — the OpenFWI seismic data layout.
 ///
-/// Shots are independent and are executed on parallel threads.
+/// Shots are independent and run on one thread each, which suits a caller
+/// that models one velocity map at a time (Q-D-FW scaling). A caller that
+/// models many maps at once should schedule [`model_shot`] items over its
+/// own thread budget instead, as `Dataset::generate` in `qugeo-geodata`
+/// does.
 ///
 /// # Errors
 ///
