@@ -128,7 +128,8 @@ impl Dataset {
             .collect();
         let mut items: Vec<(&VelocityModel, (usize, usize), &mut [f64])> = Vec::new();
         for (model, cube) in models.iter().zip(&mut cubes) {
-            for (&source, out) in sources.iter().zip(cube.as_mut_slice().chunks_mut(gather_len)) {
+            let gathers = cube.as_mut_slice().chunks_mut(gather_len);
+            for (&source, out) in sources.iter().zip(gathers) {
                 items.push((model, source, out));
             }
         }
@@ -141,7 +142,6 @@ impl Dataset {
             let handles: Vec<_> = items
                 .chunks_mut(per_worker)
                 .map(|run| {
-                    let wavelet = &wavelet;
                     scope.spawn(move || {
                         for (model, source, out) in run {
                             let gather = model_shot(
@@ -149,7 +149,7 @@ impl Dataset {
                                 &config.grid,
                                 *source,
                                 receivers,
-                                wavelet,
+                                &wavelet,
                                 config.space_order,
                             )?;
                             out.copy_from_slice(gather.as_slice());
