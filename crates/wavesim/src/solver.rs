@@ -380,9 +380,10 @@ type StencilStep = fn(&mut [f64], &[f64], &[f64], &[f64], usize, &[f64], f64);
 ///
 /// Each row is read through equal-length slices of the centre row, the
 /// rows `±1…±H` away, `prev` and `vel2dt2`, so the cell loop carries no
-/// index arithmetic. Every cell keeps the per-cell operation order of the
-/// plain loop this replaced, one rounding per `*` or `+` (never a fused
-/// multiply-add), so results are bit-identical to it:
+/// index arithmetic. Every cell keeps the operation order of the frozen
+/// per-cell reference loop in `tests/differential.rs`, one rounding per
+/// `*` or `+` (never a fused multiply-add), so results are bit-identical
+/// to it:
 /// `lap = (2·a₀)·c`, then `lap += aₖ·(((x₋ₖ + x₊ₖ) + z₋ₖ) + z₊ₖ)` for
 /// `k = 1..=H`, then `lap *= 1/dx²`, then
 /// `next = ((2·c) − prev) + vel2dt2·lap`.
@@ -472,7 +473,8 @@ mod tests {
 
     #[test]
     fn rejects_a_non_finite_sponge_strength() {
-        // A NaN strength once gave a gather that was 97% NaN.
+        // A NaN strength makes every sponge factor NaN, which spreads
+        // into the interior and most of the gather.
         let vel = homogeneous(20, 20, 2000.0);
         let grid = Grid::new(20, 20, 10.0, 0.001, 10).unwrap();
         let build = |strength| {
