@@ -125,15 +125,17 @@ pub fn model_shot(
 /// Models every shot of the survey, returning a
 /// `(sources × nt × receivers)` cube — the OpenFWI seismic data layout.
 ///
-/// Shots are independent and run on one thread each, which suits a caller
-/// that models one velocity map at a time (Q-D-FW scaling). A caller that
-/// models many maps at once should schedule [`model_shot`] items over its
-/// own thread budget instead, as `Dataset::generate` in `qugeo-geodata`
-/// does.
+/// Shots run serially on one [`Solver`], in source order. Q-D-FW calls
+/// this once per velocity map at a small geometry (an 8×8 map, four
+/// shots of ~100 steps), where a thread per shot cost more CPU than the
+/// serial shots and saved no clear wall time. A caller that models many
+/// maps at once should schedule [`model_shot`] items over its own thread
+/// budget instead, as `Dataset::generate` in `qugeo-geodata` does.
 ///
 /// # Errors
 ///
-/// Propagates solver construction and execution errors.
+/// Propagates solver construction and execution errors; the first
+/// failing shot's error is returned.
 pub fn model_shots(
     velocity: &Array2,
     grid: &Grid,
@@ -142,27 +144,11 @@ pub fn model_shots(
     order: SpaceOrder,
 ) -> Result<Array3, WavesimError> {
     let solver = Solver::new(velocity, grid, order, SpongeBoundary::default())?;
-    let sources = survey.sources();
-    let receivers = survey.receivers();
-
-    let mut gathers: Vec<Option<Result<Array2, WavesimError>>> = Vec::new();
-    gathers.resize_with(sources.len(), || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &source in sources {
-            let solver_ref = &solver;
-            handles.push(scope.spawn(move || solver_ref.run_shot(source, wavelet, receivers)));
-        }
-        for (slot, handle) in gathers.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("shot thread panicked"));
-        }
-    });
-
-    let mut slices = Vec::with_capacity(sources.len());
-    for g in gathers {
-        slices.push(g.expect("every slot filled")?);
-    }
+    let slices = survey
+        .sources()
+        .iter()
+        .map(|&source| solver.run_shot(source, wavelet, survey.receivers()))
+        .collect::<Result<Vec<_>, _>>()?;
     Array3::from_slices(&slices).map_err(|e| WavesimError::InvalidGrid {
         reason: format!("gather stacking failed: {e}"),
     })
