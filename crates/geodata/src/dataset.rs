@@ -1,4 +1,4 @@
-use std::io::{Read, Write};
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 use qugeo_tensor::{Array2, Array3};
@@ -236,7 +236,9 @@ impl Dataset {
     /// Returns [`GeodataError::Io`] on filesystem failures or
     /// [`GeodataError::CorruptCache`] for malformed files.
     pub fn load_bin(path: &Path) -> Result<Self, GeodataError> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut f = std::io::BufReader::new(file);
         let mut magic = [0u8; 8];
         f.read_exact(&mut magic)?;
         if &magic != b"QGDS0001" {
@@ -244,18 +246,25 @@ impl Dataset {
                 reason: "bad magic header".into(),
             });
         }
-        let count = read_u64(&mut f)? as usize;
-        if count > 1_000_000 {
+        // The sample count, each layer count and each cube size are
+        // bounded by the bytes left in the file before anything is
+        // reserved for them, so a corrupt header is a typed error rather
+        // than a huge allocation.
+        let count = read_u64(&mut f)?;
+        // A sample takes at least 64 bytes: nz, nx, the layer count, one
+        // layer's top and velocity, and the three cube dims.
+        if count > bytes_left(&mut f, len)? / 64 {
             return Err(GeodataError::CorruptCache {
-                reason: format!("implausible sample count {count}"),
+                reason: format!("sample count {count} exceeds the file"),
             });
         }
-        let mut samples = Vec::with_capacity(count);
+        let mut samples = Vec::new();
         for _ in 0..count {
             let nz = read_u64(&mut f)? as usize;
             let nx = read_u64(&mut f)? as usize;
             let n_layers = read_u64(&mut f)? as usize;
-            if n_layers == 0 || n_layers > nz {
+            // A layer takes 16 bytes: its top and its velocity.
+            if n_layers == 0 || n_layers > nz || n_layers as u64 > bytes_left(&mut f, len)? / 16 {
                 return Err(GeodataError::CorruptCache {
                     reason: format!("bad layer count {n_layers}"),
                 });
@@ -284,9 +293,9 @@ impl Dataset {
                 .ok_or_else(|| GeodataError::CorruptCache {
                     reason: "seismic dims overflow".into(),
                 })?;
-            if total > 500_000_000 {
+            if total as u64 > bytes_left(&mut f, len)? / 8 {
                 return Err(GeodataError::CorruptCache {
-                    reason: format!("implausible cube size {total}"),
+                    reason: format!("cube of {total} values exceeds the file"),
                 });
             }
             let mut data = Vec::with_capacity(total);
@@ -327,6 +336,11 @@ fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
 
 fn write_f64<W: Write>(w: &mut W, v: f64) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
+}
+
+/// Bytes of a `len`-byte file not yet read through `f`.
+fn bytes_left<S: Seek>(f: &mut S, len: u64) -> std::io::Result<u64> {
+    Ok(len.saturating_sub(f.stream_position()?))
 }
 
 fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
@@ -443,6 +457,51 @@ mod tests {
         std::fs::write(&path, b"not a dataset").unwrap();
         assert!(Dataset::load_bin(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Loads a cache file holding the magic and then `words` as
+    /// little-endian `u64`s.
+    fn load_words(name: &str, words: &[u64]) -> Result<Dataset, GeodataError> {
+        let dir = std::env::temp_dir().join("qugeo_geodata_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let mut bytes = b"QGDS0001".to_vec();
+        for w in words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = Dataset::load_bin(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn a_layer_count_beyond_the_file_is_corrupt_not_a_panic() {
+        // The magic, count 1, nz 2^62, nx 1 and 2^61 layers: once a
+        // capacity-overflow panic reserving the layer tops. As 40 bytes
+        // the sample count already exceeds the file; five words of
+        // padding make the layer count the field that does.
+        for padding in [0, 5] {
+            let mut words = vec![1, 1 << 62, 1, 1 << 61];
+            words.resize(words.len() + padding, 0);
+            let loaded = load_words("huge_layers.bin", &words);
+            assert!(
+                matches!(loaded, Err(GeodataError::CorruptCache { .. })),
+                "padding {padding}: {loaded:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cube_beyond_the_file_is_corrupt_before_it_is_reserved() {
+        // A valid one-layer 2×1 model, then a cube header claiming 500M
+        // values (4 GB) with no data behind it.
+        let words = [1, 2, 1, 1, 0, 1500f64.to_bits(), 500, 1000, 1000];
+        let loaded = load_words("huge_cube.bin", &words);
+        assert!(
+            matches!(loaded, Err(GeodataError::CorruptCache { .. })),
+            "{loaded:?}"
+        );
     }
 
     #[test]
