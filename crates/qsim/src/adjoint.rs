@@ -66,8 +66,7 @@
 
 use crate::batch::BatchedState;
 use crate::circuit::Circuit;
-use crate::fusion::{CompiledCircuit, DerivKind, FusedOp};
-use crate::gates::{Matrix2, Matrix4};
+use crate::fusion::{CompiledCircuit, DerivKind, FusedOp, SlotDeriv};
 use crate::kernels::{self, simulation_threads, PARALLEL_MIN_AMPS};
 use crate::{Complex64, DiagonalObservable, QsimError};
 
@@ -504,19 +503,15 @@ fn backward_member(
         let derivs = compiled.op_derivs(idx);
         if derivs.is_empty() {
             // Constant op (e.g. a fused SWAP block): plain dagger sweeps.
-            apply_fused_dagger(op, ket, threads);
-            apply_fused_dagger(op, bra, threads);
+            let dagger = op.dagger();
+            dagger.apply(ket, threads);
+            dagger.apply(bra, threads);
             continue;
         }
-        match op {
+        let r = match op {
             FusedOp::One { m, q } => {
                 let r = kernels::backward_step_one(ket, bra, &m.dagger(), *q, threads);
-                for sd in derivs {
-                    let DerivKind::One(d) = &sd.d else {
-                        unreachable!("derivative shape always matches its fused op");
-                    };
-                    grad[sd.slot] += 2.0 * trace2(d, &r).re;
-                }
+                Reduction::One(r.m)
             }
             FusedOp::Multiplexed { a0, a1, c, t } => {
                 let (r0, r1) = kernels::backward_step_multiplexed(
@@ -528,55 +523,54 @@ fn backward_member(
                     *t,
                     threads,
                 );
-                for sd in derivs {
-                    let DerivKind::Multiplexed(d0, d1) = &sd.d else {
-                        unreachable!("derivative shape always matches its fused op");
-                    };
-                    grad[sd.slot] += 2.0 * (trace2(d0, &r0) + trace2(d1, &r1)).re;
-                }
+                Reduction::Multiplexed(r0.m, r1.m)
             }
             FusedOp::Two { m, a, b } => {
                 let r = kernels::backward_step_two(ket, bra, &m.dagger(), *a, *b, threads);
-                for sd in derivs {
-                    let DerivKind::Two(d) = &sd.d else {
-                        unreachable!("derivative shape always matches its fused op");
-                    };
-                    grad[sd.slot] += 2.0 * trace4(d, &r).re;
-                }
+                Reduction::Two(r.m)
             }
-        }
+        };
+        contract(derivs, &r, grad);
     }
 }
 
-/// Applies the dagger of one fused op to a raw amplitude slice.
-fn apply_fused_dagger(op: &FusedOp, amps: &mut [Complex64], threads: usize) {
-    match op {
-        FusedOp::One { m, q } => kernels::apply_one(amps, &m.dagger(), *q, threads),
-        FusedOp::Multiplexed { a0, a1, c, t } => {
-            kernels::apply_multiplexed(amps, &a0.dagger(), &a1.dagger(), *c, *t, threads)
-        }
-        FusedOp::Two { m, a, b } => kernels::apply_two(amps, &m.dagger(), *a, *b, threads),
+/// A backward step's reduction matrix `R[x][y] = Σ k'_x·conj(b_y)` on one
+/// fused op's support, shaped like the op.
+pub(crate) enum Reduction {
+    /// Of a [`FusedOp::One`].
+    One([[Complex64; 2]; 2]),
+    /// Of a [`FusedOp::Multiplexed`]: the control-clear and control-set
+    /// branches.
+    Multiplexed([[Complex64; 2]; 2], [[Complex64; 2]; 2]),
+    /// Of a [`FusedOp::Two`].
+    Two([[Complex64; 4]; 4]),
+}
+
+/// Adds each derivative's `2·Re⟨bra|∂F|ket⟩` to its slot of one member's
+/// gradient row, in derivative order. The per-member sweep and the
+/// batch-major tile both accumulate through here, so both add the same
+/// bits in the same order.
+pub(crate) fn contract(derivs: &[SlotDeriv], reduction: &Reduction, grad: &mut [f64]) {
+    for sd in derivs {
+        let t = match (&sd.d, reduction) {
+            (DerivKind::One(d), Reduction::One(r)) => trace(&d.m, r),
+            (DerivKind::Multiplexed(d0, d1), Reduction::Multiplexed(r0, r1)) => {
+                trace(&d0.m, r0) + trace(&d1.m, r1)
+            }
+            (DerivKind::Two(d), Reduction::Two(r)) => trace(&d.m, r),
+            _ => unreachable!("derivative shape always matches its fused op"),
+        };
+        grad[sd.slot] += 2.0 * t.re;
     }
 }
 
-/// `Σ_{r,c} d[r][c] · R[c][r]` — the O(1) contraction of one 2×2
+/// `Σ_{r,c} d[r][c] · R[c][r]` — the O(1) contraction of one 2×2 or 4×4
 /// derivative against a backward-step reduction matrix.
-fn trace2(d: &Matrix2, r: &Matrix2) -> Complex64 {
+fn trace<const N: usize>(d: &[[Complex64; N]; N], r: &[[Complex64; N]; N]) -> Complex64 {
     let mut acc = Complex64::ZERO;
-    for row in 0..2 {
-        for col in 0..2 {
-            acc += d.m[row][col] * r.m[col][row];
-        }
-    }
-    acc
-}
-
-/// The 4×4 analogue of [`trace2`].
-fn trace4(d: &Matrix4, r: &Matrix4) -> Complex64 {
-    let mut acc = Complex64::ZERO;
-    for row in 0..4 {
-        for col in 0..4 {
-            acc += d.m[row][col] * r.m[col][row];
+    for row in 0..N {
+        for col in 0..N {
+            acc += d[row][col] * r[col][row];
         }
     }
     acc

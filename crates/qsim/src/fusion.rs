@@ -181,6 +181,32 @@ pub enum FusedOp {
 }
 
 impl FusedOp {
+    /// Applies the op to one amplitude slice through the dispatching
+    /// kernels.
+    pub(crate) fn apply(&self, amps: &mut [Complex64], threads: usize) {
+        match self {
+            FusedOp::One { m, q } => kernels::apply_one(amps, m, *q, threads),
+            FusedOp::Multiplexed { a0, a1, c, t } => {
+                kernels::apply_multiplexed(amps, a0, a1, *c, *t, threads)
+            }
+            FusedOp::Two { m, a, b } => kernels::apply_two(amps, m, *a, *b, threads),
+        }
+    }
+
+    /// The inverse op: every matrix daggered, on the same qubits.
+    pub(crate) fn dagger(&self) -> Self {
+        let mut op = *self;
+        match &mut op {
+            FusedOp::One { m, .. } => *m = m.dagger(),
+            FusedOp::Multiplexed { a0, a1, .. } => {
+                *a0 = a0.dagger();
+                *a1 = a1.dagger();
+            }
+            FusedOp::Two { m, .. } => *m = m.dagger(),
+        }
+        op
+    }
+
     /// Embeds a 2×2 on `q` into the 4×4 space of the pair `(a, b)`.
     fn embed(m: &Matrix2, q: usize, a: usize, b: usize) -> Matrix4 {
         if q == a {
@@ -621,13 +647,7 @@ impl CompiledCircuit {
     pub(crate) fn apply_amps_threaded(&self, amps: &mut [Complex64], threads: usize) {
         debug_assert_eq!(amps.len() % (1usize << self.num_qubits()), 0);
         for op in &self.ops {
-            match op {
-                FusedOp::One { m, q } => kernels::apply_one(amps, m, *q, threads),
-                FusedOp::Multiplexed { a0, a1, c, t } => {
-                    kernels::apply_multiplexed(amps, a0, a1, *c, *t, threads)
-                }
-                FusedOp::Two { m, a, b } => kernels::apply_two(amps, m, *a, *b, threads),
-            }
+            op.apply(amps, threads);
         }
     }
 
@@ -643,7 +663,7 @@ impl CompiledCircuit {
     /// paper ansatz 1.46× faster than 16 per-sample `run` calls, despite
     /// the transpose in/out of member-major layout (~100 µs of the
     /// ~600 µs sweep). The edge comes from the tile's unit-stride lanes
-    /// plus L1 chunk-blocking (`tile::x86::CHUNK_AMPS`), not from
+    /// plus L1 chunk-blocking (`tile::Lane::CHUNK_AMPS`), not from
     /// threading — 16 × 2^10 amplitudes stays under the serial threshold
     /// [`crate::kernels::PARALLEL_MIN_AMPS`]. Members of `2^14` amps put
     /// a 4-member tile at 2 MiB (full L2), which is where the tile's
@@ -687,8 +707,8 @@ impl CompiledCircuit {
         });
     }
 
-    /// Circuit-major sweep of one worker's member range: groups of four
-    /// members go through the batch-major SIMD tile
+    /// Circuit-major sweep of one worker's member range: groups of eight
+    /// or four members go through the batch-major SIMD tile
     /// ([`kernels::tile::apply_members`] — zero members when the SIMD
     /// tier is off), the remainder through the per-member kernels.
     fn apply_members_serial(&self, amps: &mut [Complex64], dim: usize) {

@@ -43,7 +43,7 @@
 //! workloads (several members per register, one broadcast-FMA stream per
 //! fused gate); where the CPU additionally reports `avx512f`, the
 //! forward tile widens from four members per 256-bit register to eight
-//! per 512-bit register (`QUGEO_SIMD=avx2` pins the narrower tile).
+//! per 512-bit register.
 
 use std::sync::OnceLock;
 
@@ -54,9 +54,9 @@ use crate::gates::{Matrix2, Matrix4};
 use crate::Complex64;
 
 /// The kernel dispatch tier currently in effect: `"avx512"` when the
-/// AVX2/FMA kernels are active *and* the 512-bit batched tile is enabled
-/// (`avx512f` detected, not pinned down by `QUGEO_SIMD=avx2`), `"avx2"`
-/// for the 256-bit kernels alone, `"scalar"` otherwise (unsupported CPU,
+/// AVX2/FMA kernels are active *and* the CPU reports `avx512f` (so the
+/// batched tile runs eight members per 512-bit register), `"avx2"` for
+/// the 256-bit kernels alone, `"scalar"` otherwise (unsupported CPU,
 /// `QUGEO_SIMD=off`, or [`set_simd_enabled`]`(false)`).
 ///
 /// Benchmark tooling records this next to its series so numbers are
@@ -121,7 +121,12 @@ fn insert_zero_bit(k: usize, pos: usize) -> usize {
 /// disjoint ranges, and distinct indices address disjoint amplitudes.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut Complex64);
+// SAFETY: `SendPtr` is a bare address that owns nothing. Every use site
+// takes it from a slice that outlives the scoped workers and gives each
+// worker a disjoint pair/quad range, so no amplitude is reached from two
+// threads.
 unsafe impl Send for SendPtr {}
+// SAFETY: sharing `&SendPtr` only copies the address; see `Send` above.
 unsafe impl Sync for SendPtr {}
 
 /// Runs `work(range)` over `0..total` split into contiguous chunks on at

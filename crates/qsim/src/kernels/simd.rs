@@ -83,18 +83,13 @@ pub(crate) fn set_enabled(enabled: bool) {
 /// Whether the batch-major tile may use its 512-bit lane variant (eight
 /// members per register). Deliberately *not* a third [`SimdLevel`]: the
 /// interleaved per-member kernels stay AVX2 either way, so every
-/// `level() == Avx2` dispatch check keeps its meaning. `QUGEO_SIMD=avx2`
-/// pins the 256-bit tile for A/B runs; `off`/[`set_enabled`]`(false)`
-/// disable this along with the rest of the SIMD tier via [`level`].
+/// `level() == Avx2` dispatch check keeps its meaning.
+/// `off`/[`set_enabled`]`(false)` disable this along with the rest of
+/// the SIMD tier via [`level`].
 pub(crate) fn avx512_tile() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        static WIDE: OnceLock<bool> = OnceLock::new();
-        level() == SimdLevel::Avx2
-            && *WIDE.get_or_init(|| {
-                !matches!(std::env::var("QUGEO_SIMD").as_deref(), Ok("avx2"))
-                    && std::arch::is_x86_feature_detected!("avx512f")
-            })
+        level() == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -276,6 +271,8 @@ pub(crate) mod avx2 {
             let c0 = Coef::per_lane(m00, m10);
             let c1 = Coef::per_lane(m01, m11);
             let pairs = amps.len() / 2;
+            // SAFETY: AVX2/FMA per the module contract. Pair k < len/2 is amplitudes
+            // 2k and 2k+1; workers get disjoint pair ranges.
             for_each_chunk(pairs, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for k in range {
@@ -295,6 +292,8 @@ pub(crate) mod avx2 {
         let c11 = Coef::splat(m11);
         let half = 1usize << q;
         let runs = amps.len() >> (q + 1);
+        // SAFETY: AVX2/FMA as above. Run r < len >> (q+1) owns its 2^(q+1)
+        // amplitudes, read two at a time; workers get disjoint run ranges.
         for_each_chunk(runs, amps.len(), threads, move |range| unsafe {
             let ptr = ptr;
             for r in range {
@@ -340,6 +339,8 @@ pub(crate) mod avx2 {
             let c11 = Coef::splat(m11);
             let run = 1usize << lo;
             let runs = quads >> lo;
+            // SAFETY: AVX2/FMA as above. `amps` is whole 2^(hi+1) blocks, so each
+            // run of 2^lo quads is in bounds; workers get disjoint run ranges.
             for_each_chunk(runs, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for r in range {
@@ -362,6 +363,8 @@ pub(crate) mod avx2 {
             // addresses base + cmask + 2s.
             let c0 = Coef::per_lane(m00, m10);
             let c1 = Coef::per_lane(m01, m11);
+            // SAFETY: AVX2/FMA as above. With t = 0, quad k < len/4 has its control-set
+            // pair adjacent and in bounds; workers get disjoint quad ranges.
             for_each_chunk(quads, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for k in range {
@@ -379,6 +382,8 @@ pub(crate) mod avx2 {
             let c01 = Coef::splat(m01);
             let c10 = Coef::splat(m10);
             let c11 = Coef::splat(m11);
+            // SAFETY: AVX2/FMA as above. With c = 0, each target leg of quad k < len/4
+            // is an adjacent in-bounds pair; workers get disjoint quad ranges.
             for_each_chunk(quads, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for k in range {
@@ -419,6 +424,8 @@ pub(crate) mod avx2 {
         let c10 = Coef::per_lane(z10, o10);
         let c11 = Coef::per_lane(z11, o11);
         let tmask = 1usize << hi;
+        // SAFETY: AVX2/FMA per the module contract; `ptr` and `amps_len` come from
+        // one live slice, so quad k < amps_len/4 is in bounds, disjoint per worker.
         for_each_chunk(quads, amps_len, threads, move |range| unsafe {
             let ptr = ptr;
             for k in range {
@@ -464,6 +471,8 @@ pub(crate) mod avx2 {
             let co11 = Coef::splat(o11);
             let run = 1usize << lo;
             let runs = quads >> lo;
+            // SAFETY: AVX2/FMA as above. `amps` is whole 2^(hi+1) blocks, so each
+            // run of 2^lo quads is in bounds; workers get disjoint run ranges.
             for_each_chunk(runs, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for r in range {
@@ -495,6 +504,8 @@ pub(crate) mod avx2 {
             let zc1 = Coef::per_lane(z01, z11);
             let oc0 = Coef::per_lane(o00, o10);
             let oc1 = Coef::per_lane(o01, o11);
+            // SAFETY: AVX2/FMA as above. With t = 0, each branch of quad k < len/4 is
+            // an adjacent in-bounds pair; workers get disjoint quad ranges.
             for_each_chunk(quads, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for k in range {
@@ -535,6 +546,8 @@ pub(crate) mod avx2 {
             }
             let run = 1usize << a;
             let runs = quads >> a;
+            // SAFETY: AVX2/FMA as above. `amps` is whole 2^(b+1) blocks, so each run
+            // of 2^a quads is in bounds; workers get disjoint run ranges.
             for_each_chunk(runs, amps.len(), threads, move |range| unsafe {
                 let ptr = ptr;
                 for r in range {
@@ -581,6 +594,8 @@ pub(crate) mod avx2 {
             Coef::per_lane(m[2][2], m[3][2]),
             Coef::per_lane(m[2][3], m[3][3]),
         ];
+        // SAFETY: AVX2/FMA as above. With a = 0, quad k < len/4 is two adjacent
+        // in-bounds pairs; workers get disjoint quad ranges.
         for_each_chunk(quads, amps.len(), threads, move |range| unsafe {
             let ptr = ptr;
             for k in range {
@@ -615,7 +630,7 @@ pub(crate) mod avx2 {
         q: usize,
         threads: usize,
     ) -> Matrix2 {
-        debug_assert_eq!(bra.len(), ket.len());
+        assert_eq!(bra.len(), ket.len(), "ket and bra lengths differ");
         debug_assert_eq!(ket.len() % (1 << (q + 1)), 0);
         let [[m00, m01], [m10, m11]] = g.m;
         let kp = SendPtr(ket.as_mut_ptr());
@@ -627,6 +642,8 @@ pub(crate) mod avx2 {
             let c0 = Coef::per_lane(m00, m10);
             let c1 = Coef::per_lane(m01, m11);
             let pairs = ket.len() / 2;
+            // SAFETY: AVX2/FMA per the module contract; `ket` and `bra` have one length
+            // (asserted above). Pair k < len/2 is in bounds, disjoint per worker.
             reduce_chunks::<4>(pairs, ket.len(), threads, move |range| unsafe {
                 let (kp, bp) = (kp, bp);
                 let mut acc_d = _mm256_setzero_pd();
@@ -652,6 +669,8 @@ pub(crate) mod avx2 {
             let c11 = Coef::splat(m11);
             let half = 1usize << q;
             let runs = ket.len() >> (q + 1);
+            // SAFETY: AVX2/FMA as above. Run r < len >> (q+1) owns its 2^(q+1)
+            // amplitudes of each slice; workers get disjoint run ranges.
             reduce_chunks::<4>(runs, ket.len(), threads, move |range| unsafe {
                 let (kp, bp) = (kp, bp);
                 let mut acc = [_mm256_setzero_pd(); 4];
@@ -698,7 +717,7 @@ pub(crate) mod avx2 {
         t: usize,
         threads: usize,
     ) -> (Matrix2, Matrix2) {
-        debug_assert_eq!(bra.len(), ket.len());
+        assert_eq!(bra.len(), ket.len(), "ket and bra lengths differ");
         debug_assert_ne!(c, t);
         let (lo, hi) = if c < t { (c, t) } else { (t, c) };
         debug_assert_eq!(ket.len() % (1 << (hi + 1)), 0);
@@ -720,6 +739,8 @@ pub(crate) mod avx2 {
             let co11 = Coef::splat(o11);
             let run = 1usize << lo;
             let runs = quads >> lo;
+            // SAFETY: AVX2/FMA per the module contract; `ket` and `bra` are one length
+            // (asserted above) of whole 2^(hi+1) blocks: runs are in bounds, disjoint.
             reduce_chunks::<8>(runs, ket.len(), threads, move |range| unsafe {
                 let (kp, bp) = (kp, bp);
                 let mut acc = [_mm256_setzero_pd(); 8];
@@ -787,6 +808,8 @@ pub(crate) mod avx2 {
             let zc1 = Coef::per_lane(z01, z11);
             let oc0 = Coef::per_lane(o00, o10);
             let oc1 = Coef::per_lane(o01, o11);
+            // SAFETY: AVX2/FMA as above. With t = 0, each branch of quad k < len/4 is
+            // an adjacent in-bounds pair of each slice; workers get disjoint quads.
             reduce_chunks::<8>(quads, ket.len(), threads, move |range| unsafe {
                 let (kp, bp) = (kp, bp);
                 let mut zacc_d = _mm256_setzero_pd();
@@ -826,6 +849,8 @@ pub(crate) mod avx2 {
             let c01 = Coef::per_lane(z01, o01);
             let c10 = Coef::per_lane(z10, o10);
             let c11 = Coef::per_lane(z11, o11);
+            // SAFETY: AVX2/FMA as above. With c = 0, each target leg of quad k < len/4
+            // is an adjacent in-bounds pair of each slice; workers get disjoint quads.
             reduce_chunks::<8>(quads, ket.len(), threads, move |range| unsafe {
                 let (kp, bp) = (kp, bp);
                 let mut acc = [_mm256_setzero_pd(); 4];
@@ -878,7 +903,7 @@ pub(crate) mod avx2 {
         b: usize,
         threads: usize,
     ) -> Matrix4 {
-        debug_assert_eq!(bra.len(), ket.len());
+        assert_eq!(bra.len(), ket.len(), "ket and bra lengths differ");
         debug_assert!(a >= 1 && a < b);
         debug_assert_eq!(ket.len() % (1 << (b + 1)), 0);
         let ma = 1usize << a;
@@ -893,6 +918,8 @@ pub(crate) mod avx2 {
         let runs = (ket.len() / 4) >> a;
         let kp = SendPtr(ket.as_mut_ptr());
         let bp = SendPtr(bra.as_mut_ptr());
+        // SAFETY: AVX2/FMA per the module contract; `ket` and `bra` are one length
+        // (asserted above) of whole 2^(b+1) blocks: runs are in bounds, disjoint.
         let r = reduce_chunks::<16>(runs, ket.len(), threads, move |range| unsafe {
             let (kp, bp) = (kp, bp);
             let mut acc = [_mm256_setzero_pd(); 16];

@@ -68,8 +68,7 @@
 //! ([`simd_feature_level`] reports the resolved tier: `"avx512"`,
 //! `"avx2"` or `"scalar"`). `QUGEO_SIMD=off` — or
 //! [`set_simd_enabled`]`(false)` for in-process A/B runs — pins the
-//! bit-identical scalar tier, and `QUGEO_SIMD=avx2` pins the 256-bit
-//! tile on AVX-512 hardware.
+//! bit-identical scalar tier.
 //!
 //! # Qubit ordering
 //!

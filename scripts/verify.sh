@@ -39,6 +39,10 @@ lint_gate() {
     # can never land.
     echo "==> cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim (missing public-item docs denied)"
     cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim --quiet -- -D warnings -D missing-docs
+    # The simulator's SIMD kernels are the crate's unsafe code: every
+    # unsafe block and impl in its lib target states its invariant.
+    echo "==> cargo clippy -p qugeo-qsim (undocumented unsafe blocks denied)"
+    cargo clippy -p qugeo-qsim --quiet -- -D warnings -D clippy::undocumented-unsafe-blocks
 }
 
 tier1() {
