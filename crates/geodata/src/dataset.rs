@@ -477,10 +477,11 @@ mod tests {
 
     #[test]
     fn a_layer_count_beyond_the_file_is_corrupt_not_a_panic() {
-        // The magic, count 1, nz 2^62, nx 1 and 2^61 layers: once a
-        // capacity-overflow panic reserving the layer tops. As 40 bytes
-        // the sample count already exceeds the file; five words of
-        // padding make the layer count the field that does.
+        // The magic, count 1, nz 2^62, nx 1 and 2^61 layers: reserving
+        // that many layer tops overflows capacity, so the header must be
+        // rejected first. As 40 bytes the sample count already exceeds
+        // the file; five words of padding make the layer count the field
+        // that does.
         for padding in [0, 5] {
             let mut words = vec![1, 1 << 62, 1, 1 << 61];
             words.resize(words.len() + padding, 0);
