@@ -1,6 +1,6 @@
 //! Compiler-pipeline benchmark: the structure/bind split and the
-//! optimizer passes, on the paper-scale ansatz (10 qubits × 12 `U3+CU3`
-//! blocks, 720 trainable angles).
+//! optimizer passes, on the acceptance-workload ansatz (10 qubits × 12
+//! `U3+CU3` blocks, 720 trainable angles).
 //!
 //! The point of the split is that training and serving change *angles*
 //! every step, never circuit *structure* — so the per-step cost should be

@@ -1,6 +1,7 @@
 //! Gradient-engine benchmark: serial adjoint vs batched-fused adjoint vs
-//! batched parameter-shift, at batch sizes 1/4/16 on the paper-scale
-//! ansatz (10 qubits × 12 `U3+CU3` blocks, 720 trainable angles).
+//! batched parameter-shift, at batch sizes 1/4/16 on the
+//! acceptance-workload ansatz (10 qubits × 12 `U3+CU3` blocks, 720
+//! trainable angles).
 //!
 //! Every series measures the full per-training-step cost — compilation
 //! (parameters change every step), sweeps, and gradient extraction:

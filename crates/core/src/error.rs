@@ -58,6 +58,15 @@ pub enum QuGeoError {
         /// The panic payload, when it carried a string message.
         reason: String,
     },
+    /// An execution backend returned a number of output distributions
+    /// other than one per batch member. Decoding what came back would
+    /// drop or misalign requests, so the whole call fails instead.
+    DistributionCount {
+        /// Batch members the backend was given.
+        expected: usize,
+        /// Distributions it returned.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for QuGeoError {
@@ -78,6 +87,10 @@ impl fmt::Display for QuGeoError {
                     "replica {replica} panicked during a data-parallel step: {reason}"
                 )
             }
+            Self::DistributionCount { expected, actual } => write!(
+                f,
+                "backend returned {actual} output distributions for {expected} batch members"
+            ),
         }
     }
 }
@@ -85,9 +98,10 @@ impl fmt::Display for QuGeoError {
 impl Error for QuGeoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            Self::Config { .. } | Self::CorruptCheckpoint { .. } | Self::ReplicaPanic { .. } => {
-                None
-            }
+            Self::Config { .. }
+            | Self::CorruptCheckpoint { .. }
+            | Self::ReplicaPanic { .. }
+            | Self::DistributionCount { .. } => None,
             Self::Quantum(e) => Some(e),
             Self::Modeling(e) => Some(e),
             Self::Data(e) => Some(e),

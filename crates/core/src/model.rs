@@ -234,7 +234,10 @@ impl QuGeoVqc {
     ) -> Result<Array2, QuGeoError> {
         let mut maps =
             self.predict_many_with(std::slice::from_ref(&seismic), params, backend)?;
-        Ok(maps.pop().expect("one sample yields one map"))
+        maps.pop().ok_or(QuGeoError::DistributionCount {
+            expected: 1,
+            actual: 0,
+        })
     }
 
     /// Predicts velocity maps for many samples through one gate-fused
@@ -291,7 +294,8 @@ impl QuGeoVqc {
             let mut batch = BatchedState::from_states(&states)?;
             drop(states); // `from_states` copies; free before the sweep
             backend.run_batch(&compiled, &mut batch)?;
-            for probs in backend.probabilities(&batch)? {
+            let dists: Vec<Vec<f64>> = member_distributions(backend, &batch)?;
+            for probs in dists {
                 maps.push(self.config.decoder.decode(&probs)?);
             }
         }
@@ -369,10 +373,7 @@ impl QuGeoVqc {
         let compiled = self.circuit.compile(params)?;
         let mut batch = BatchedState::replicate(&encoded, 1);
         backend.run_batch(&compiled, &mut batch)?;
-        let probs = backend
-            .probabilities(&batch)?
-            .pop()
-            .expect("batch of one has one distribution");
+        let [probs] = member_distributions(backend, &batch)?;
         let (loss, prob_grad) = self
             .config
             .decoder
@@ -381,6 +382,28 @@ impl QuGeoVqc {
         let grad =
             parameter_shift_gradient_backend(&self.circuit, params, &encoded, &obs, backend)?;
         Ok((loss, grad))
+    }
+}
+
+/// Reads one output distribution per member of `batch` from `backend`,
+/// as `Vec<Vec<f64>>` or, for a batch of one, as `[Vec<f64>; 1]`.
+///
+/// Returns [`QuGeoError::DistributionCount`] unless the backend gave
+/// exactly one per member: every consumer decodes through here, so a
+/// backend that drops or invents a distribution fails the call instead
+/// of losing a request or panicking.
+pub(crate) fn member_distributions<T: TryFrom<Vec<Vec<f64>>>>(
+    backend: &dyn QuantumBackend,
+    batch: &BatchedState,
+) -> Result<T, QuGeoError> {
+    let dists = backend.probabilities(batch)?;
+    let actual = dists.len();
+    match T::try_from(dists) {
+        Ok(dists) if actual == batch.batch_len() => Ok(dists),
+        _ => Err(QuGeoError::DistributionCount {
+            expected: batch.batch_len(),
+            actual,
+        }),
     }
 }
 

@@ -25,7 +25,7 @@ use qugeo_qsim::{
 };
 use qugeo_tensor::Array2;
 
-use crate::model::{decoder_to_qsim, QuGeoVqc};
+use crate::model::{decoder_to_qsim, member_distributions, QuGeoVqc};
 use crate::QuGeoError;
 
 /// Batched execution wrapper around a [`QuGeoVqc`].
@@ -184,10 +184,7 @@ impl<'a> QuBatch<'a> {
         backend: &dyn QuantumBackend,
     ) -> Result<Vec<Array2>, QuGeoError> {
         backend.run_batch(compiled, register)?;
-        let full_probs = backend
-            .probabilities(register)?
-            .pop()
-            .expect("batch of one has one distribution");
+        let [full_probs] = member_distributions(backend, register)?;
         self.decode_conditioned(&full_probs, count)
     }
 
@@ -372,10 +369,7 @@ impl<'a> QuBatch<'a> {
         let compiled = wide.compile(params)?;
         let mut engine_batch = qugeo_qsim::BatchedState::replicate(batched.state(), 1);
         backend.run_batch(&compiled, &mut engine_batch)?;
-        let full_probs = backend
-            .probabilities(&engine_batch)?
-            .pop()
-            .expect("batch of one has one distribution");
+        let [full_probs] = member_distributions(backend, &engine_batch)?;
         let (total_loss, diag) = loss_and_diag(&full_probs)?;
         let obs = DiagonalObservable::from_diagonal(diag)?;
         let grad = parameter_shift_gradient_backend(&wide, params, batched.state(), &obs, backend)?;

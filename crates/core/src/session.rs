@@ -49,7 +49,7 @@ use qugeo_qsim::{
 };
 use qugeo_tensor::Array2;
 
-use crate::model::QuGeoVqc;
+use crate::model::{member_distributions, QuGeoVqc};
 use crate::qubatch::QuBatch;
 use crate::QuGeoError;
 
@@ -189,7 +189,10 @@ impl<B: QuantumBackend> InferenceSession<B> {
     /// Returns an error for encoding failures or backend failures.
     pub fn predict(&mut self, seismic: &[f64]) -> Result<Array2, QuGeoError> {
         let mut maps = self.predict_many(std::slice::from_ref(&seismic))?;
-        Ok(maps.pop().expect("one request yields one map"))
+        maps.pop().ok_or(QuGeoError::DistributionCount {
+            expected: 1,
+            actual: 0,
+        })
     }
 
     /// Predicts velocity maps for a whole request batch through the
@@ -225,7 +228,8 @@ impl<B: QuantumBackend> InferenceSession<B> {
                 None => self.buffer.insert(BatchedState::from_states(&states)?),
             };
             self.backend.run_batch(&self.compiled, batch)?;
-            for probs in self.backend.probabilities(batch)? {
+            let dists: Vec<Vec<f64>> = member_distributions(&self.backend, batch)?;
+            for probs in dists {
                 maps.push(self.model.decoder().decode(&probs)?);
             }
         }

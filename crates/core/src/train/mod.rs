@@ -31,6 +31,13 @@
 //! `train/tests.rs` pins it, and [`QuBatchVqc`], bit-for-bit against
 //! frozen copies of the loops that predate the engine.
 //!
+//! Each VQC strategy has one gradient body and one epoch loop, and
+//! [`DataParallel`] reuses both: it is the same loop over N replica
+//! contexts plus a fixed-shape tree reduction. It has no threading
+//! switch — it spreads a step over at most the thread budget it was
+//! built with, and only when the step's amplitude work repays a thread
+//! spawn ([`REPLICA_SPAWN_MIN_WORK`]).
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -54,7 +61,7 @@ mod sweep;
 pub use callback::{
     Callback, CallbackFlow, EarlyStopping, EpochContext, MetricsRecorder, PeriodicCheckpoint,
 };
-pub use parallel::{DataParallel, ReplicaStep, ReplicaThreads, Shardable};
+pub use parallel::{DataParallel, ReplicaStep, Shardable, REPLICA_SPAWN_MIN_WORK};
 pub use strategy::{
     evaluate_regressor, evaluate_vqc, evaluate_vqc_with, EpochReport, MiniBatchVqc, QuBatchVqc,
     RegressorStep, TrainStep,

@@ -7,7 +7,10 @@
 //! [`BackendConfig::split`]). Replicas evaluate disjoint *micro-batch
 //! units*, the coordinator all-reduces the unit gradients, and the
 //! optimiser steps exactly once per mini-batch — so data parallelism
-//! changes wall-clock time, never semantics.
+//! changes wall-clock time, never semantics. The wrapped and the plain
+//! strategies share one epoch loop and one gradient body: a plain
+//! strategy evaluates each mini-batch as a single unit in its own
+//! context.
 //!
 //! # The determinism contract
 //!
@@ -37,41 +40,75 @@
 //! even the per-replica thread budget cannot perturb a gradient bit
 //! (`reduce_chunks` in `qugeo_qsim`).
 //!
+//! # When replicas run on threads
+//!
+//! Where a unit runs never changes what it produces, so the wrapper
+//! decides from what it observes, with no knob:
+//!
+//! * **The budget it was built with** — `base.effective_threads()` of
+//!   [`DataParallel::with_config`] (the machine's simulation-thread
+//!   budget for [`DataParallel::new`]). A step runs on at most that many
+//!   threads, and never on more than it has replicas or units.
+//! * **The coordinator runs one share itself**, so `w` workers cost
+//!   `w − 1` spawns per step.
+//! * **Only work that repays a spawn is spread.** A step's amplitude
+//!   work — its unit count times [`Shardable::unit_work`] — buys one
+//!   thread per [`REPLICA_SPAWN_MIN_WORK`]. Below twice that, every unit
+//!   runs on the coordinator, in the first replica's context.
+//!
 //! # Failure containment
 //!
-//! A replica that panics mid-unit is caught on its worker thread and
-//! surfaced as [`QuGeoError::ReplicaPanic`] — the optimiser is never
-//! stepped with a partial all-reduce, so a chaos-injected engine panic
-//! can abort a run but cannot corrupt it.
+//! A replica that panics mid-unit is caught — on its worker thread or on
+//! the coordinator — and surfaced as [`QuGeoError::ReplicaPanic`]: the
+//! optimiser is never stepped with a partial all-reduce, so a
+//! chaos-injected engine panic can abort a run but cannot corrupt it.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use qugeo_nn::optim::Optimizer;
-use qugeo_qsim::{simulation_threads, BackendConfig};
+use qugeo_qsim::BackendConfig;
 use qugeo_tensor::norm::l2_norm;
 
 use super::strategy::{EpochReport, TrainStep};
 use crate::QuGeoError;
 
+/// Amplitude work (members × 2ⁿ amplitudes × fused ops, summed over a
+/// step's units — see [`Shardable::unit_work`]) that buys [`DataParallel`]
+/// one worker thread: a step runs on at most one thread per this much
+/// work, so each worker's share is about this much or more.
+///
+/// Measured on a 2-vCPU AVX-512 host: a scoped-thread spawn plus join
+/// costs 15–30 µs; a unit of the `train_scaling --smoke` shape (6 qubits
+/// × 2 blocks, one sample, ~1 k amplitude-ops) takes ~7 µs; a paper
+/// Q-M-LY mini-batch-16 unit at micro-batch 8 (8 qubits × 12 blocks,
+/// ~200 k amplitude-ops) takes ~0.5 ms, ~2.5 ns per amplitude-op. At
+/// `2^15` amplitude-ops (~80 µs at that rate) a spawn costs at most about
+/// a third of the work it moves; less work runs faster inline.
+pub const REPLICA_SPAWN_MIN_WORK: usize = 1 << 15;
+
 /// One replica's evaluation context: owns whatever mutable scratch the
-/// strategy needs (adjoint workspace, input batch, backend handle) and
-/// evaluates micro-batch units against shared read-only data.
+/// strategy needs (adjoint workspace, input batch, gradient buffer,
+/// backend handle) and evaluates micro-batch units against shared
+/// read-only data.
 ///
 /// `Send` is a supertrait because replica contexts move onto scoped
 /// worker threads.
 pub trait ReplicaStep: Send {
     /// Evaluates one micro-batch unit of sample indices at `params`,
-    /// returning the **mean** loss and **mean** gradient over the unit.
+    /// returning the **mean** loss over the unit and its **mean**
+    /// gradient, which stays in a buffer the context recycles.
     ///
     /// # Errors
     ///
     /// Propagates simulation or backend failures.
-    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, Vec<f64>), QuGeoError>;
+    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError>;
 }
 
 /// A strategy that can be sharded across data-parallel replicas.
 ///
 /// The strategy stays the single owner of the training data, targets,
 /// and pre-encoded states; [`Shardable::replica`] hands out lightweight
-/// contexts that *borrow* the shared read-only state and own only their
+/// contexts that *share* the read-only state and own only their
 /// mutable scratch.
 pub trait Shardable {
     /// Number of training samples (the engine shuffles `0..n`).
@@ -85,6 +122,11 @@ pub trait Shardable {
     /// boundaries `DataParallel` decomposes into micro-batch units.
     fn samples_per_step(&self) -> usize;
 
+    /// Amplitude work of evaluating one unit of `unit_len` samples:
+    /// simulated members × 2ⁿ amplitudes × fused ops. `DataParallel`
+    /// compares it with [`REPLICA_SPAWN_MIN_WORK`].
+    fn unit_work(&self, unit_len: usize) -> usize;
+
     /// Builds one replica evaluation context under `config`'s thread
     /// budget.
     fn replica(&self, config: BackendConfig) -> Box<dyn ReplicaStep + '_>;
@@ -97,37 +139,36 @@ pub trait Shardable {
     fn evaluate_params(&self, params: &[f64]) -> Result<(f64, f64), QuGeoError>;
 }
 
-/// When replica evaluation uses scoped worker threads.
-///
-/// This is a *scheduling* policy only: by the determinism contract the
-/// results are bit-identical either way, so the choice trades spawn
-/// overhead against parallel wall-clock and never affects training
-/// output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaThreads {
-    /// Thread when it can help: more than one replica, more than one
-    /// unit per step, and a multi-core budget
-    /// ([`simulation_threads`] > 1). The default.
-    #[default]
-    Auto,
-    /// Always spawn worker threads, even where they cannot pay off —
-    /// used by the differential suite to exercise the threaded path (and
-    /// its panic containment) on single-core hosts.
-    Always,
-    /// Never spawn; evaluate every unit inline on the coordinator.
-    Never,
-}
-
-/// What one unit evaluation produced, including contained panics.
-enum UnitOutcome {
-    Done((f64, Vec<f64>)),
-    Failed(QuGeoError),
-    Panicked(String),
+/// The epoch loop of every VQC strategy, plain or wrapped: `order` in
+/// `step`-sample chunks, each chunk one gradient evaluation by `eval` and
+/// one optimiser step.
+pub(super) fn run_steps(
+    order: &[usize],
+    step: usize,
+    params: &mut [f64],
+    optimizer: &mut dyn Optimizer,
+    eval: &mut dyn ReplicaStep,
+) -> Result<EpochReport, QuGeoError> {
+    let mut loss_sum = 0.0;
+    let mut norm_sum = 0.0;
+    let mut steps = 0usize;
+    for chunk in order.chunks(step.max(1)) {
+        let (loss, grad) = eval.eval_unit(chunk, params)?;
+        optimizer.step(params, grad);
+        loss_sum += loss;
+        norm_sum += l2_norm(grad);
+        steps += 1;
+    }
+    let n = steps.max(1) as f64;
+    Ok(EpochReport {
+        train_loss: loss_sum / n,
+        grad_norm: norm_sum / n,
+    })
 }
 
 /// Data-parallel wrapper: shards each optimiser step's samples across
 /// replica contexts and all-reduces gradients deterministically. See the
-/// module docs above for the bit-identity contract.
+/// module docs above for the bit-identity contract and the spawn rule.
 ///
 /// # Examples
 ///
@@ -138,21 +179,29 @@ enum UnitOutcome {
 /// # let (train, test): (Vec<_>, Vec<_>) = (vec![], vec![]);
 /// let model = QuGeoVqc::new(VqcConfig::paper_layer_wise())?;
 /// let strategy = MiniBatchVqc::new(&model, &train, &test, 16)?;
-/// let mut parallel = DataParallel::new(&strategy, 4)?.micro_batch(4);
+/// let mut parallel = DataParallel::new(&strategy, 2)?.micro_batch(8);
 /// let outcome = Trainer::new(TrainConfig::smoke(10)).fit(&mut parallel)?;
 /// # Ok(())
 /// # }
 /// ```
 pub struct DataParallel<'a, S: Shardable> {
     inner: &'a S,
+    shards: Shards<'a>,
+}
+
+/// The replica contexts, the schedule they run on, and the per-unit
+/// gradient slots every step recycles.
+struct Shards<'a> {
     contexts: Vec<Box<dyn ReplicaStep + 'a>>,
+    budget: usize,
     micro: usize,
-    threads: ReplicaThreads,
+    unit_work: usize,
+    slots: Vec<Vec<f64>>,
 }
 
 impl<'a, S: Shardable> DataParallel<'a, S> {
-    /// Wraps `inner` with `replicas` evaluation contexts, splitting the
-    /// machine's simulation-thread budget equally between them.
+    /// Wraps `inner` with `replicas` evaluation contexts under the
+    /// machine's simulation-thread budget, split equally between them.
     ///
     /// # Errors
     ///
@@ -162,7 +211,8 @@ impl<'a, S: Shardable> DataParallel<'a, S> {
     }
 
     /// Wraps `inner` with `replicas` contexts under an explicit base
-    /// thread budget — each replica receives `base.split(replicas)`.
+    /// thread budget: steps run on at most `base.effective_threads()`
+    /// threads, and each replica's backend receives `base.split(replicas)`.
     /// Lets a sweep trial that already holds a
     /// [`BackendConfig::shared_across`] share divide it further.
     ///
@@ -180,13 +230,14 @@ impl<'a, S: Shardable> DataParallel<'a, S> {
             });
         }
         let per_replica = base.split(replicas);
-        let contexts = (0..replicas).map(|_| inner.replica(per_replica)).collect();
-        Ok(Self {
-            inner,
-            contexts,
+        let shards = Shards {
+            contexts: (0..replicas).map(|_| inner.replica(per_replica)).collect(),
+            budget: base.effective_threads(),
             micro: 1,
-            threads: ReplicaThreads::Auto,
-        })
+            unit_work: 0,
+            slots: Vec::new(),
+        };
+        Ok(Self { inner, shards }.micro_batch(1))
     }
 
     /// Sets the micro-batch unit size (default 1; values below 1 are
@@ -198,19 +249,14 @@ impl<'a, S: Shardable> DataParallel<'a, S> {
     /// Set `micro` to the strategy's full batch size to make the wrapped
     /// run bit-identical to the plain strategy.
     pub fn micro_batch(mut self, micro: usize) -> Self {
-        self.micro = micro.max(1);
-        self
-    }
-
-    /// Sets the threading policy (default [`ReplicaThreads::Auto`]).
-    pub fn threading(mut self, threads: ReplicaThreads) -> Self {
-        self.threads = threads;
+        self.shards.micro = micro.max(1);
+        self.shards.unit_work = self.inner.unit_work(self.shards.micro);
         self
     }
 
     /// Number of replica contexts.
     pub fn replicas(&self) -> usize {
-        self.contexts.len()
+        self.shards.contexts.len()
     }
 }
 
@@ -229,59 +275,8 @@ impl<S: Shardable> TrainStep for DataParallel<'_, S> {
         params: &mut [f64],
         optimizer: &mut dyn Optimizer,
     ) -> Result<EpochReport, QuGeoError> {
-        let step = self.inner.samples_per_step().max(1);
-        let mut loss_sum = 0.0;
-        let mut norm_sum = 0.0;
-        let mut steps = 0usize;
-        for chunk in order.chunks(step) {
-            let units: Vec<&[usize]> = chunk.chunks(self.micro).collect();
-            let threaded = match self.threads {
-                ReplicaThreads::Never => false,
-                ReplicaThreads::Always => true,
-                ReplicaThreads::Auto => {
-                    self.contexts.len() > 1 && units.len() > 1 && simulation_threads() > 1
-                }
-            };
-            let per = units.len().div_ceil(self.contexts.len()).max(1);
-            let outcomes = eval_units(&mut self.contexts, &units, params, per, threaded);
-
-            let mut results = Vec::with_capacity(units.len());
-            for (u, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    UnitOutcome::Done(r) => results.push(r),
-                    UnitOutcome::Failed(e) => return Err(e),
-                    UnitOutcome::Panicked(reason) => {
-                        return Err(QuGeoError::ReplicaPanic {
-                            replica: u / per,
-                            reason,
-                        });
-                    }
-                }
-            }
-
-            // Weight each unit's mean by its share of the chunk, then
-            // combine with the fixed-shape pairwise tree. A full-chunk
-            // unit has weight exactly 1.0, which is a bitwise no-op.
-            let total = chunk.len() as f64;
-            let mut step_loss = 0.0;
-            let mut weighted = Vec::with_capacity(results.len());
-            for (unit, (loss, mut grad)) in units.iter().zip(results) {
-                let w = unit.len() as f64 / total;
-                grad.iter_mut().for_each(|g| *g *= w);
-                step_loss += w * loss;
-                weighted.push(grad);
-            }
-            let combined = tree_reduce(weighted);
-            optimizer.step(params, &combined);
-            loss_sum += step_loss;
-            norm_sum += l2_norm(&combined);
-            steps += 1;
-        }
-        let n = steps.max(1) as f64;
-        Ok(EpochReport {
-            train_loss: loss_sum / n,
-            grad_norm: norm_sum / n,
-        })
+        let step = self.inner.samples_per_step();
+        run_steps(order, step, params, optimizer, &mut self.shards)
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
@@ -289,56 +284,84 @@ impl<S: Shardable> TrainStep for DataParallel<'_, S> {
     }
 }
 
-/// Evaluates every unit, assigning `per` consecutive units to each
-/// replica context. Results land in unit-ordered slots whichever path
-/// runs, so the inline and threaded schedules are interchangeable.
-fn eval_units(
-    contexts: &mut [Box<dyn ReplicaStep + '_>],
-    units: &[&[usize]],
-    params: &[f64],
-    per: usize,
-    threaded: bool,
-) -> Vec<UnitOutcome> {
-    if !threaded {
-        let mut outcomes = Vec::with_capacity(units.len());
-        for (ctx, chunk) in contexts.iter_mut().zip(units.chunks(per)) {
-            for unit in chunk {
-                outcomes.push(eval_one(ctx.as_mut(), unit, params));
+/// One optimiser step's chunk, sharded: its units are split into
+/// consecutive shares, share `r` evaluated by replica `r`, then weighted
+/// and tree-reduced into the step's mean gradient.
+impl ReplicaStep for Shards<'_> {
+    fn eval_unit(&mut self, chunk: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError> {
+        let units: Vec<&[usize]> = chunk.chunks(self.micro).collect();
+        let work = self.unit_work.saturating_mul(units.len());
+        let workers = (work / REPLICA_SPAWN_MIN_WORK)
+            .min(self.budget)
+            .min(self.contexts.len())
+            .min(units.len())
+            .max(1);
+        let per = units.len().div_ceil(workers);
+        if self.slots.len() < units.len() {
+            self.slots.resize_with(units.len(), Vec::new);
+        }
+        let slots = &mut self.slots[..units.len()];
+        let mut shares = self
+            .contexts
+            .iter_mut()
+            .zip(units.chunks(per))
+            .zip(slots.chunks_mut(per));
+        let chunk_len = chunk.len();
+        let outcomes = std::thread::scope(|scope| {
+            // Every share but the first goes to a worker thread; the
+            // coordinator evaluates the first itself.
+            let first = shares.next();
+            let handles: Vec<_> = shares
+                .map(|((ctx, units), slots)| {
+                    scope.spawn(move || eval_share(ctx.as_mut(), units, slots, params, chunk_len))
+                })
+                .collect();
+            let mut outcomes = Vec::with_capacity(handles.len() + 1);
+            if let Some(((ctx, units), slots)) = first {
+                outcomes.push(catch_unwind(AssertUnwindSafe(|| {
+                    eval_share(ctx.as_mut(), units, slots, params, chunk_len)
+                })));
+            }
+            outcomes.extend(handles.into_iter().map(|h| h.join()));
+            outcomes
+        });
+
+        let mut step_loss = 0.0;
+        for (replica, outcome) in outcomes.into_iter().enumerate() {
+            let losses = outcome.map_err(|payload| QuGeoError::ReplicaPanic {
+                replica,
+                reason: panic_message(payload),
+            })??;
+            for loss in losses {
+                step_loss += loss;
             }
         }
-        outcomes
-    } else {
-        let mut slots: Vec<Option<UnitOutcome>> = units.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for ((ctx, chunk), out) in contexts
-                .iter_mut()
-                .zip(units.chunks(per))
-                .zip(slots.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for (unit, slot) in chunk.iter().zip(out.iter_mut()) {
-                        *slot = Some(eval_one(ctx.as_mut(), unit, params));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every unit slot is filled by its replica"))
-            .collect()
+        Ok((step_loss, tree_reduce(slots)))
     }
 }
 
-/// One unit evaluation with panic containment: a panicking replica
-/// produces a [`UnitOutcome::Panicked`] record instead of unwinding
-/// through the scope (which would abort the whole process under
-/// `panic=abort` test harnesses and lose the typed-error contract).
-fn eval_one(ctx: &mut (dyn ReplicaStep + '_), unit: &[usize], params: &[f64]) -> UnitOutcome {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.eval_unit(unit, params))) {
-        Ok(Ok(result)) => UnitOutcome::Done(result),
-        Ok(Err(e)) => UnitOutcome::Failed(e),
-        Err(payload) => UnitOutcome::Panicked(panic_message(payload)),
-    }
+/// Evaluates one replica's consecutive `units` in order, leaving each
+/// unit's mean gradient, weighted by the unit's share of the
+/// `chunk_len`-sample chunk, in its slot; returns the weighted losses.
+/// A full-chunk unit has weight exactly 1.0, a bitwise no-op.
+fn eval_share(
+    ctx: &mut (dyn ReplicaStep + '_),
+    units: &[&[usize]],
+    slots: &mut [Vec<f64>],
+    params: &[f64],
+    chunk_len: usize,
+) -> Result<Vec<f64>, QuGeoError> {
+    units
+        .iter()
+        .zip(slots)
+        .map(|(unit, slot)| {
+            let (loss, grad) = ctx.eval_unit(unit, params)?;
+            let w = unit.len() as f64 / chunk_len as f64;
+            slot.clear();
+            slot.extend(grad.iter().map(|g| g * w));
+            Ok(w * loss)
+        })
+        .collect()
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -352,26 +375,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Pairwise tree reduction in slot order: round after round, slot `2k`
-/// absorbs slot `2k+1`. The tree's shape — and therefore the
-/// floating-point summation order — is a function of the input count
+/// Pairwise tree reduction in slot order, in place: round after round,
+/// slot `k` absorbs slot `k + stride`, with the stride doubling each
+/// round, and the sum ends in slot 0. The tree's shape — and therefore
+/// the floating-point summation order — is a function of the slot count
 /// alone, which is what makes the all-reduce independent of how units
 /// were scheduled across replicas.
-fn tree_reduce(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
-    while layers.len() > 1 {
-        let mut next = Vec::with_capacity(layers.len().div_ceil(2));
-        let mut it = layers.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
+fn tree_reduce(slots: &mut [Vec<f64>]) -> &[f64] {
+    let mut stride = 1;
+    while stride < slots.len() {
+        for k in (0..slots.len() - stride).step_by(2 * stride) {
+            let (low, high) = slots.split_at_mut(k + stride);
+            for (x, y) in low[k].iter_mut().zip(&high[0]) {
+                *x += y;
             }
-            next.push(a);
         }
-        layers = next;
+        stride *= 2;
     }
-    layers.pop().unwrap_or_default()
+    slots.first().map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]
@@ -381,19 +402,20 @@ mod tests {
     #[test]
     fn tree_reduce_shape_depends_only_on_count() {
         // 5 inputs: rounds are ((0+1),(2+3),4) -> ((01+23),4) -> final.
-        let inputs: Vec<Vec<f64>> = (0..5).map(|i| vec![10f64.powi(i - 2), 1.0]).collect();
-        let tree = tree_reduce(inputs.clone());
+        let mut inputs: Vec<Vec<f64>> = (0..5).map(|i| vec![10f64.powi(i - 2), 1.0]).collect();
         let expect0 =
             ((inputs[0][0] + inputs[1][0]) + (inputs[2][0] + inputs[3][0])) + inputs[4][0];
+        let tree = tree_reduce(&mut inputs);
         assert_eq!(tree[0].to_bits(), expect0.to_bits());
         assert_eq!(tree[1], 5.0);
 
         // Single input passes through untouched, bit for bit.
-        let one = tree_reduce(vec![vec![0.1 + 0.2, -0.0]]);
+        let mut one = vec![vec![0.1 + 0.2, -0.0]];
+        let one = tree_reduce(&mut one);
         assert_eq!(one[0].to_bits(), (0.1f64 + 0.2).to_bits());
         assert_eq!(one[1].to_bits(), (-0.0f64).to_bits());
 
-        assert!(tree_reduce(Vec::new()).is_empty());
+        assert!(tree_reduce(&mut []).is_empty());
     }
 
     #[test]

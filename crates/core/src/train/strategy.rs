@@ -12,6 +12,15 @@
 //! * [`QuBatchVqc`] — one step per QuBatch-widened circuit execution
 //!   (`batch_size` samples share a register and an amplitude norm);
 //! * [`RegressorStep`] — the CNN baselines of Table 2.
+//!
+//! Each VQC strategy holds its read-only training data once and trains
+//! through one gradient context: a backend plus the scratch its steps
+//! recycle. The context's [`ReplicaStep`] body is the strategy's only
+//! gradient code — its own epochs run it on whole mini-batches, and
+//! [`DataParallel`](super::DataParallel) runs it on micro-batch units
+//! in per-replica copies of the context.
+
+use std::sync::Arc;
 
 use qugeo_geodata::scaling::ScaledSample;
 use qugeo_metrics::{mse, ssim};
@@ -19,12 +28,13 @@ use qugeo_nn::models::{CnnRegressor, RegressorHead};
 use qugeo_nn::optim::Optimizer;
 use qugeo_nn::Model;
 use qugeo_qsim::{
-    AdjointWorkspace, BackendConfig, BatchedState, QuantumBackend, State, StatevectorBackend,
+    AdjointWorkspace, BackendConfig, BatchedState, Circuit, CircuitStructure, QuantumBackend,
+    State, StatevectorBackend,
 };
 use qugeo_tensor::norm::{l2_norm, l2_normalized};
 use qugeo_tensor::Array2;
 
-use super::parallel::{ReplicaStep, Shardable};
+use super::parallel::{run_steps, ReplicaStep, Shardable};
 use crate::model::{member_loss_obs, QuGeoVqc};
 use crate::pipeline::normalized_target;
 use crate::qubatch::QuBatch;
@@ -71,49 +81,66 @@ pub trait TrainStep {
     fn evaluate(&mut self, params: &[f64]) -> Result<(f64, f64), QuGeoError>;
 }
 
-/// A backend that is either borrowed from the caller or owned
-/// (the default statevector engine).
-enum BackendHandle<'a> {
-    Owned(Box<dyn QuantumBackend>),
-    Borrowed(&'a dyn QuantumBackend),
-}
-
-impl BackendHandle<'_> {
-    fn get(&self) -> &dyn QuantumBackend {
-        match self {
-            Self::Owned(b) => b.as_ref(),
-            Self::Borrowed(b) => *b,
-        }
-    }
-
-    /// A replica's view of this handle: owned backends (always the
-    /// default statevector engine) are re-created per replica under the
-    /// replica's thread budget; borrowed custom backends (samplers,
-    /// fault injectors) are shared by reference so their state — shot
-    /// streams, fault schedules — spans the whole replica set.
-    fn for_replica(&self, config: BackendConfig) -> ReplicaBackend<'_> {
-        match self {
-            Self::Owned(_) => ReplicaBackend::Owned(StatevectorBackend::with_config(config)),
-            Self::Borrowed(b) => ReplicaBackend::Shared(*b),
-        }
-    }
-}
-
-/// A data-parallel replica's backend: owned statevector engine (fresh
-/// per replica, split thread budget) or a shared reference to the
-/// strategy's borrowed custom backend.
-enum ReplicaBackend<'a> {
+/// A gradient context's backend: the default statevector engine, owned,
+/// or the caller's custom backend, shared by reference so its state —
+/// shot streams, fault schedules — spans every context.
+enum Backend<'a> {
     Owned(StatevectorBackend),
     Shared(&'a dyn QuantumBackend),
 }
 
-impl ReplicaBackend<'_> {
+impl<'a> Backend<'a> {
     fn get(&self) -> &dyn QuantumBackend {
         match self {
             Self::Owned(b) => b,
             Self::Shared(b) => *b,
         }
     }
+
+    /// A replica's backend: an owned engine is re-created under the
+    /// replica's thread budget, a shared one stays shared.
+    fn for_replica(&self, config: BackendConfig) -> Backend<'a> {
+        match self {
+            Self::Owned(_) => Backend::Owned(StatevectorBackend::with_config(config)),
+            Self::Shared(b) => Backend::Shared(*b),
+        }
+    }
+}
+
+/// A VQC gradient context: the strategy's read-only data `D`, shared,
+/// plus one backend and the scratch every step recycles — the adjoint
+/// workspace, the input batch and the gradient buffer.
+struct GradContext<'a, D> {
+    data: Arc<D>,
+    backend: Backend<'a>,
+    ws: AdjointWorkspace,
+    inputs: Option<BatchedState>,
+    grad: Vec<f64>,
+}
+
+impl<'a, D> GradContext<'a, D> {
+    fn new(data: Arc<D>, backend: Backend<'a>) -> Self {
+        Self {
+            data,
+            backend,
+            ws: AdjointWorkspace::new(),
+            inputs: None,
+            grad: Vec::new(),
+        }
+    }
+
+    /// A context over the same data with a replica backend under
+    /// `config`'s thread budget and scratch of its own.
+    fn replica(&self, config: BackendConfig) -> Self {
+        Self::new(Arc::clone(&self.data), self.backend.for_replica(config))
+    }
+}
+
+/// Amplitude work of one gradient evaluation: `members` registers of
+/// `2^qubits` amplitudes swept by each fused op of `circuit`.
+fn amplitude_work(circuit: &Circuit, qubits: usize, members: usize) -> usize {
+    let ops = CircuitStructure::compile(circuit).num_ops();
+    members.saturating_mul(1 << qubits).saturating_mul(ops)
 }
 
 fn require_non_empty(train: &[ScaledSample], test: &[ScaledSample]) -> Result<(), QuGeoError> {
@@ -134,7 +161,7 @@ fn require_batch_size(batch_size: usize) -> Result<(), QuGeoError> {
     Ok(())
 }
 
-/// Loads the step's member states into a strategy-held input batch,
+/// Loads the step's member states into a context-held input batch,
 /// recycling its allocation after the first step
 /// ([`BatchedState::load_states`]).
 fn load_inputs<'b>(
@@ -210,18 +237,45 @@ pub fn evaluate_vqc_with(
     mean_mse_ssim(samples, &preds)
 }
 
+/// What [`QuBatchVqc`] trains on: the widened-circuit builder, the
+/// samples and their normalised targets.
+struct QuBatchData<'a> {
+    qubatch: QuBatch<'a>,
+    train: &'a [ScaledSample],
+    targets: Vec<Array2>,
+}
+
+/// The QuBatch gradient body: one widened-circuit execution per unit.
+/// [`QuBatch::loss_and_grad_batch_ws`] already returns the unit's mean
+/// loss and gradient.
+impl ReplicaStep for GradContext<'_, QuBatchData<'_>> {
+    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError> {
+        let data = &*self.data;
+        let seismic: Vec<Vec<f64>> = unit
+            .iter()
+            .map(|&i| data.train[i].seismic.clone())
+            .collect();
+        let targets: Vec<Array2> = unit.iter().map(|&i| data.targets[i].clone()).collect();
+        let (loss, grad) = data.qubatch.loss_and_grad_batch_ws(
+            &seismic,
+            &targets,
+            params,
+            self.backend.get(),
+            &mut self.ws,
+        )?;
+        self.grad = grad;
+        Ok((loss, &self.grad))
+    }
+}
+
 /// QuBatch training: each optimiser step consumes one batch of
 /// `batch_size` samples executed as a single widened circuit
 /// ([`QuBatch`] — extra qubits buy shared execution at a shared-norm
 /// precision cost).
 pub struct QuBatchVqc<'a> {
-    qubatch: QuBatch<'a>,
-    train: &'a [ScaledSample],
+    ctx: GradContext<'a, QuBatchData<'a>>,
     test: &'a [ScaledSample],
-    targets: Vec<Array2>,
     batch_size: usize,
-    backend: BackendHandle<'a>,
-    ws: AdjointWorkspace,
 }
 
 impl<'a> QuBatchVqc<'a> {
@@ -237,13 +291,8 @@ impl<'a> QuBatchVqc<'a> {
         test: &'a [ScaledSample],
         batch_size: usize,
     ) -> Result<Self, QuGeoError> {
-        Self::build(
-            model,
-            train,
-            test,
-            batch_size,
-            BackendHandle::Owned(Box::new(StatevectorBackend::default())),
-        )
+        let backend = Backend::Owned(StatevectorBackend::default());
+        Self::build(model, train, test, batch_size, backend)
     }
 
     /// QuBatch training through an explicit execution backend.
@@ -259,7 +308,7 @@ impl<'a> QuBatchVqc<'a> {
         batch_size: usize,
         backend: &'a dyn QuantumBackend,
     ) -> Result<Self, QuGeoError> {
-        Self::build(model, train, test, batch_size, BackendHandle::Borrowed(backend))
+        Self::build(model, train, test, batch_size, Backend::Shared(backend))
     }
 
     fn build(
@@ -267,34 +316,35 @@ impl<'a> QuBatchVqc<'a> {
         train: &'a [ScaledSample],
         test: &'a [ScaledSample],
         batch_size: usize,
-        backend: BackendHandle<'a>,
+        backend: Backend<'a>,
     ) -> Result<Self, QuGeoError> {
         require_non_empty(train, test)?;
         require_batch_size(batch_size)?;
-        Ok(Self {
+        let data = QuBatchData {
             qubatch: QuBatch::new(model)?,
             train,
-            test,
             targets: train.iter().map(normalized_target).collect(),
+        };
+        Ok(Self {
+            ctx: GradContext::new(Arc::new(data), backend),
+            test,
             batch_size,
-            backend,
-            ws: AdjointWorkspace::new(),
         })
     }
 
     /// The strategy's adjoint workspace (allocation/reuse counters).
     pub fn adjoint_workspace(&self) -> &AdjointWorkspace {
-        &self.ws
+        &self.ctx.ws
     }
 }
 
 impl TrainStep for QuBatchVqc<'_> {
     fn num_train_samples(&self) -> usize {
-        self.train.len()
+        self.ctx.data.train.len()
     }
 
     fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.qubatch.model().init_params(seed)
+        self.ctx.data.qubatch.model().init_params(seed)
     }
 
     fn run_epoch(
@@ -303,36 +353,105 @@ impl TrainStep for QuBatchVqc<'_> {
         params: &mut [f64],
         optimizer: &mut dyn Optimizer,
     ) -> Result<EpochReport, QuGeoError> {
-        let mut loss_sum = 0.0;
-        let mut norm_sum = 0.0;
-        let mut steps = 0usize;
-        for chunk in order.chunks(self.batch_size) {
-            let seismic: Vec<Vec<f64>> = chunk
-                .iter()
-                .map(|&i| self.train[i].seismic.clone())
-                .collect();
-            let tgt: Vec<Array2> = chunk.iter().map(|&i| self.targets[i].clone()).collect();
-            let (loss, grad) = self.qubatch.loss_and_grad_batch_ws(
-                &seismic,
-                &tgt,
-                params,
-                self.backend.get(),
-                &mut self.ws,
-            )?;
-            optimizer.step(params, &grad);
-            loss_sum += loss;
-            norm_sum += l2_norm(&grad);
-            steps += 1;
-        }
-        let n = steps.max(1) as f64;
-        Ok(EpochReport {
-            train_loss: loss_sum / n,
-            grad_norm: norm_sum / n,
-        })
+        run_steps(order, self.batch_size, params, optimizer, &mut self.ctx)
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.qubatch.model(), params, self.test, self.backend.get())
+        self.evaluate_params(params)
+    }
+}
+
+impl Shardable for QuBatchVqc<'_> {
+    fn num_train_samples(&self) -> usize {
+        self.ctx.data.train.len()
+    }
+
+    fn init_params(&self, seed: u64) -> Vec<f64> {
+        self.ctx.data.qubatch.model().init_params(seed)
+    }
+
+    fn samples_per_step(&self) -> usize {
+        self.batch_size
+    }
+
+    /// One register widened by the unit's batch qubits.
+    fn unit_work(&self, unit_len: usize) -> usize {
+        let qubatch = &self.ctx.data.qubatch;
+        let circuit = qubatch.model().circuit();
+        let qubits = circuit.num_qubits() + qubatch.extra_qubits(unit_len);
+        amplitude_work(circuit, qubits, 1)
+    }
+
+    fn replica(&self, config: BackendConfig) -> Box<dyn ReplicaStep + '_> {
+        Box::new(self.ctx.replica(config))
+    }
+
+    fn evaluate_params(&self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
+        let model = self.ctx.data.qubatch.model();
+        evaluate_vqc_with(model, params, self.test, self.ctx.backend.get())
+    }
+}
+
+/// What [`MiniBatchVqc`] trains on: the model, the samples, their
+/// normalised targets and, on adjoint-capable backends, their amplitude
+/// encodings.
+struct MiniBatchData<'a> {
+    model: &'a QuGeoVqc,
+    train: &'a [ScaledSample],
+    targets: Vec<Array2>,
+    encoded: Vec<State>,
+}
+
+/// The mini-batch gradient body: one batched adjoint call over the
+/// unit's members, their gradients summed in member order and scaled by
+/// `1/|unit|`; backends without amplitude access take the per-sample
+/// parameter-shift loop instead.
+impl ReplicaStep for GradContext<'_, MiniBatchData<'_>> {
+    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError> {
+        let data = &*self.data;
+        let backend = self.backend.get();
+        self.grad.clear();
+        self.grad.resize(params.len(), 0.0);
+        let mut unit_loss = 0.0;
+        if backend.supports_adjoint_gradient() {
+            // The whole unit in ONE batched adjoint call: the circuit
+            // compiles once, all members sweep together.
+            let members: Vec<&State> = unit.iter().map(|&i| &data.encoded[i]).collect();
+            let inputs = load_inputs(&mut self.inputs, &members)?;
+            let decoder = data.model.decoder();
+            backend.adjoint_gradient_batch(
+                data.model.circuit(),
+                params,
+                inputs,
+                &mut |b, probs| {
+                    let (l, obs) = member_loss_obs(decoder, probs, &data.targets[unit[b]])?;
+                    unit_loss += l;
+                    Ok(obs)
+                },
+                &mut self.ws,
+            )?;
+            for b in 0..unit.len() {
+                for (acc, g) in self.grad.iter_mut().zip(self.ws.grad(b)) {
+                    *acc += g;
+                }
+            }
+        } else {
+            for &i in unit {
+                let (loss, grad) = data.model.loss_and_grad_with(
+                    &data.train[i].seismic,
+                    &data.targets[i],
+                    params,
+                    backend,
+                )?;
+                unit_loss += loss;
+                for (acc, g) in self.grad.iter_mut().zip(&grad) {
+                    *acc += g;
+                }
+            }
+        }
+        let scale = 1.0 / unit.len() as f64;
+        self.grad.iter_mut().for_each(|g| *g *= scale);
+        Ok((unit_loss * scale, &self.grad))
     }
 }
 
@@ -347,20 +466,14 @@ impl TrainStep for QuBatchVqc<'_> {
 /// from **one** batched adjoint call
 /// ([`QuantumBackend::adjoint_gradient_batch`]): the circuit compiles
 /// once per step, every member's ket/bra pair sweeps in parallel through
-/// the fused engine, and the strategy-held [`AdjointWorkspace`] plus a
-/// recycled input batch keep the steady state allocation-free. Backends
-/// without amplitude access fall back to the per-sample parameter-shift
-/// loop.
+/// the fused engine, and the strategy-held [`AdjointWorkspace`], input
+/// batch and gradient buffer keep the steady state allocation-free.
+/// Backends without amplitude access fall back to the per-sample
+/// parameter-shift loop.
 pub struct MiniBatchVqc<'a> {
-    model: &'a QuGeoVqc,
-    train: &'a [ScaledSample],
+    ctx: GradContext<'a, MiniBatchData<'a>>,
     test: &'a [ScaledSample],
-    targets: Vec<Array2>,
-    encoded: Vec<State>,
     batch_size: usize,
-    backend: BackendHandle<'a>,
-    ws: AdjointWorkspace,
-    inputs: Option<BatchedState>,
 }
 
 impl<'a> MiniBatchVqc<'a> {
@@ -376,13 +489,8 @@ impl<'a> MiniBatchVqc<'a> {
         test: &'a [ScaledSample],
         batch_size: usize,
     ) -> Result<Self, QuGeoError> {
-        Self::build(
-            model,
-            train,
-            test,
-            batch_size,
-            BackendHandle::Owned(Box::new(StatevectorBackend::default())),
-        )
+        let backend = Backend::Owned(StatevectorBackend::default());
+        Self::build(model, train, test, batch_size, backend)
     }
 
     /// Mini-batch training through an explicit execution backend.
@@ -398,7 +506,7 @@ impl<'a> MiniBatchVqc<'a> {
         batch_size: usize,
         backend: &'a dyn QuantumBackend,
     ) -> Result<Self, QuGeoError> {
-        Self::build(model, train, test, batch_size, BackendHandle::Borrowed(backend))
+        Self::build(model, train, test, batch_size, Backend::Shared(backend))
     }
 
     fn build(
@@ -406,7 +514,7 @@ impl<'a> MiniBatchVqc<'a> {
         train: &'a [ScaledSample],
         test: &'a [ScaledSample],
         batch_size: usize,
-        backend: BackendHandle<'a>,
+        backend: Backend<'a>,
     ) -> Result<Self, QuGeoError> {
         require_non_empty(train, test)?;
         require_batch_size(batch_size)?;
@@ -422,33 +530,33 @@ impl<'a> MiniBatchVqc<'a> {
         } else {
             Vec::new()
         };
-        Ok(Self {
+        let data = MiniBatchData {
             model,
             train,
-            test,
             targets: train.iter().map(normalized_target).collect(),
             encoded,
+        };
+        Ok(Self {
+            ctx: GradContext::new(Arc::new(data), backend),
+            test,
             batch_size,
-            backend,
-            ws: AdjointWorkspace::new(),
-            inputs: None,
         })
     }
 
     /// The strategy's adjoint workspace — its allocation/reuse counters
     /// let callers assert the no-allocation steady-state contract.
     pub fn adjoint_workspace(&self) -> &AdjointWorkspace {
-        &self.ws
+        &self.ctx.ws
     }
 }
 
 impl TrainStep for MiniBatchVqc<'_> {
     fn num_train_samples(&self) -> usize {
-        self.train.len()
+        self.ctx.data.train.len()
     }
 
     fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.model.init_params(seed)
+        self.ctx.data.model.init_params(seed)
     }
 
     fn run_epoch(
@@ -457,215 +565,40 @@ impl TrainStep for MiniBatchVqc<'_> {
         params: &mut [f64],
         optimizer: &mut dyn Optimizer,
     ) -> Result<EpochReport, QuGeoError> {
-        let backend = self.backend.get();
-        let use_adjoint = backend.supports_adjoint_gradient();
-        let mut loss_sum = 0.0;
-        let mut norm_sum = 0.0;
-        let mut steps = 0usize;
-        let mut grad_acc = vec![0.0; params.len()];
-        let mut member_refs: Vec<&State> = Vec::with_capacity(self.batch_size);
-        for chunk in order.chunks(self.batch_size) {
-            grad_acc.iter_mut().for_each(|g| *g = 0.0);
-            let mut batch_loss = 0.0;
-            if use_adjoint {
-                // The whole mini-batch in ONE batched adjoint call: the
-                // circuit compiles once, all members sweep together.
-                member_refs.clear();
-                member_refs.extend(chunk.iter().map(|&i| &self.encoded[i]));
-                let inputs = load_inputs(&mut self.inputs, &member_refs)?;
-                let decoder = self.model.decoder();
-                let targets = &self.targets;
-                backend.adjoint_gradient_batch(
-                    self.model.circuit(),
-                    params,
-                    inputs,
-                    &mut |b, probs| {
-                        let (l, obs) = member_loss_obs(decoder, probs, &targets[chunk[b]])?;
-                        batch_loss += l;
-                        Ok(obs)
-                    },
-                    &mut self.ws,
-                )?;
-                for b in 0..chunk.len() {
-                    for (acc, g) in grad_acc.iter_mut().zip(self.ws.grad(b)) {
-                        *acc += g;
-                    }
-                }
-            } else {
-                for &i in chunk {
-                    let (loss, grad) = self.model.loss_and_grad_with(
-                        &self.train[i].seismic,
-                        &self.targets[i],
-                        params,
-                        backend,
-                    )?;
-                    batch_loss += loss;
-                    for (acc, g) in grad_acc.iter_mut().zip(&grad) {
-                        *acc += g;
-                    }
-                }
-            }
-            let scale = 1.0 / chunk.len() as f64;
-            grad_acc.iter_mut().for_each(|g| *g *= scale);
-            optimizer.step(params, &grad_acc);
-            loss_sum += batch_loss * scale;
-            norm_sum += l2_norm(&grad_acc);
-            steps += 1;
-        }
-        let n = steps.max(1) as f64;
-        Ok(EpochReport {
-            train_loss: loss_sum / n,
-            grad_norm: norm_sum / n,
-        })
+        run_steps(order, self.batch_size, params, optimizer, &mut self.ctx)
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.model, params, self.test, self.backend.get())
-    }
-}
-
-/// Replica evaluation context for [`MiniBatchVqc`]: borrows the
-/// strategy's read-only data (model, samples, targets, pre-encoded
-/// states) and owns its mutable scratch (workspace, input batch, backend
-/// handle).
-///
-/// `eval_unit` mirrors [`MiniBatchVqc::run_epoch`]'s gradient path
-/// operation-for-operation — one batched adjoint call, per-member grads
-/// summed linearly in member order, then scaled by `1/|unit|` — so a
-/// full-batch unit reproduces the plain strategy's step bitwise.
-struct VqcReplica<'a> {
-    model: &'a QuGeoVqc,
-    train: &'a [ScaledSample],
-    targets: &'a [Array2],
-    encoded: &'a [State],
-    backend: ReplicaBackend<'a>,
-    ws: AdjointWorkspace,
-    inputs: Option<BatchedState>,
-}
-
-impl ReplicaStep for VqcReplica<'_> {
-    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, Vec<f64>), QuGeoError> {
-        let backend = self.backend.get();
-        let mut grad_acc = vec![0.0; params.len()];
-        let mut unit_loss = 0.0;
-        if backend.supports_adjoint_gradient() {
-            let member_refs: Vec<&State> = unit.iter().map(|&i| &self.encoded[i]).collect();
-            let inputs = load_inputs(&mut self.inputs, &member_refs)?;
-            let decoder = self.model.decoder();
-            let targets = self.targets;
-            backend.adjoint_gradient_batch(
-                self.model.circuit(),
-                params,
-                inputs,
-                &mut |b, probs| {
-                    let (l, obs) = member_loss_obs(decoder, probs, &targets[unit[b]])?;
-                    unit_loss += l;
-                    Ok(obs)
-                },
-                &mut self.ws,
-            )?;
-            for b in 0..unit.len() {
-                for (acc, g) in grad_acc.iter_mut().zip(self.ws.grad(b)) {
-                    *acc += g;
-                }
-            }
-        } else {
-            for &i in unit {
-                let (loss, grad) = self.model.loss_and_grad_with(
-                    &self.train[i].seismic,
-                    &self.targets[i],
-                    params,
-                    backend,
-                )?;
-                unit_loss += loss;
-                for (acc, g) in grad_acc.iter_mut().zip(&grad) {
-                    *acc += g;
-                }
-            }
-        }
-        let scale = 1.0 / unit.len() as f64;
-        grad_acc.iter_mut().for_each(|g| *g *= scale);
-        Ok((unit_loss * scale, grad_acc))
+        self.evaluate_params(params)
     }
 }
 
 impl Shardable for MiniBatchVqc<'_> {
     fn num_train_samples(&self) -> usize {
-        self.train.len()
+        self.ctx.data.train.len()
     }
 
     fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.model.init_params(seed)
+        self.ctx.data.model.init_params(seed)
     }
 
     fn samples_per_step(&self) -> usize {
         self.batch_size
     }
 
-    fn replica(&self, config: BackendConfig) -> Box<dyn ReplicaStep + '_> {
-        Box::new(VqcReplica {
-            model: self.model,
-            train: self.train,
-            targets: &self.targets,
-            encoded: &self.encoded,
-            backend: self.backend.for_replica(config),
-            ws: AdjointWorkspace::new(),
-            inputs: None,
-        })
-    }
-
-    fn evaluate_params(&self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.model, params, self.test, self.backend.get())
-    }
-}
-
-/// Replica evaluation context for [`QuBatchVqc`]: shares the strategy's
-/// [`QuBatch`] (widened-circuit builder, immutable) and owns its own
-/// workspace and backend handle. `loss_and_grad_batch_ws` already
-/// returns the batch *mean* loss and gradient, which is exactly the
-/// unit contract.
-struct QuBatchReplica<'a> {
-    qubatch: &'a QuBatch<'a>,
-    train: &'a [ScaledSample],
-    targets: &'a [Array2],
-    backend: ReplicaBackend<'a>,
-    ws: AdjointWorkspace,
-}
-
-impl ReplicaStep for QuBatchReplica<'_> {
-    fn eval_unit(&mut self, unit: &[usize], params: &[f64]) -> Result<(f64, Vec<f64>), QuGeoError> {
-        let seismic: Vec<Vec<f64>> = unit.iter().map(|&i| self.train[i].seismic.clone()).collect();
-        let tgt: Vec<Array2> = unit.iter().map(|&i| self.targets[i].clone()).collect();
-        self.qubatch
-            .loss_and_grad_batch_ws(&seismic, &tgt, params, self.backend.get(), &mut self.ws)
-    }
-}
-
-impl Shardable for QuBatchVqc<'_> {
-    fn num_train_samples(&self) -> usize {
-        self.train.len()
-    }
-
-    fn init_params(&self, seed: u64) -> Vec<f64> {
-        self.qubatch.model().init_params(seed)
-    }
-
-    fn samples_per_step(&self) -> usize {
-        self.batch_size
+    /// One register per unit member.
+    fn unit_work(&self, unit_len: usize) -> usize {
+        let circuit = self.ctx.data.model.circuit();
+        amplitude_work(circuit, circuit.num_qubits(), unit_len)
     }
 
     fn replica(&self, config: BackendConfig) -> Box<dyn ReplicaStep + '_> {
-        Box::new(QuBatchReplica {
-            qubatch: &self.qubatch,
-            train: self.train,
-            targets: &self.targets,
-            backend: self.backend.for_replica(config),
-            ws: AdjointWorkspace::new(),
-        })
+        Box::new(self.ctx.replica(config))
     }
 
     fn evaluate_params(&self, params: &[f64]) -> Result<(f64, f64), QuGeoError> {
-        evaluate_vqc_with(self.qubatch.model(), params, self.test, self.backend.get())
+        let model = self.ctx.data.model;
+        evaluate_vqc_with(model, params, self.test, self.ctx.backend.get())
     }
 }
 

@@ -494,6 +494,19 @@ mod tests {
     }
 
     #[test]
+    fn a_map_beyond_the_address_space_is_corrupt_not_a_panic() {
+        // 88 bytes: the magic, count 1, nz 2^61, nx 1, one layer at top 0
+        // and 1500 m/s, then a 1×1×1 cube. Every length field is backed
+        // by the file, but 2^61 cells of f64 overflow `isize::MAX` bytes.
+        let words = [1, 1 << 61, 1, 1, 0, 1500f64.to_bits(), 1, 1, 1, 0];
+        let loaded = load_words("huge_map.bin", &words);
+        assert!(
+            matches!(loaded, Err(GeodataError::CorruptCache { .. })),
+            "{loaded:?}"
+        );
+    }
+
+    #[test]
     fn a_cube_beyond_the_file_is_corrupt_before_it_is_reserved() {
         // A valid one-layer 2×1 model, then a cube header claiming 500M
         // values (4 GB) with no data behind it.

@@ -29,8 +29,9 @@ impl VelocityModel {
     /// # Errors
     ///
     /// Returns [`GeodataError::InvalidConfig`] if the vectors are empty,
-    /// differ in length, tops are not strictly increasing from 0, or any
-    /// top reaches past `nz`.
+    /// differ in length, tops are not strictly increasing from 0, any
+    /// top reaches past `nz`, or an `nz × nx` map of `f64` would not fit
+    /// in `isize::MAX` bytes.
     pub fn from_layers(
         nz: usize,
         nx: usize,
@@ -55,6 +56,12 @@ impl VelocityModel {
         if *layer_tops.last().expect("non-empty") >= nz {
             return Err(GeodataError::InvalidConfig {
                 reason: "layer top beyond model depth".into(),
+            });
+        }
+        let max_cells = isize::MAX as usize / std::mem::size_of::<f64>();
+        if nz.checked_mul(nx).is_none_or(|cells| cells > max_cells) {
+            return Err(GeodataError::InvalidConfig {
+                reason: format!("a {nz} x {nx} velocity map exceeds the address space"),
             });
         }
         let map = Array2::from_fn(nz, nx, |z, _| {
@@ -248,6 +255,9 @@ mod tests {
         assert!(VelocityModel::from_layers(6, 4, vec![0, 0], vec![1.0, 2.0]).is_err());
         assert!(VelocityModel::from_layers(6, 4, vec![0, 9], vec![1.0, 2.0]).is_err());
         assert!(VelocityModel::from_layers(6, 4, vec![0, 3], vec![1.0]).is_err());
+        // Maps whose byte size overflows `isize` are rejected, not allocated.
+        assert!(VelocityModel::from_layers(1 << 61, 1, vec![0], vec![1.0]).is_err());
+        assert!(VelocityModel::from_layers(1 << 40, 1 << 40, vec![0], vec![1.0]).is_err());
     }
 
     #[test]

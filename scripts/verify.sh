@@ -134,18 +134,23 @@ chaos_smoke() {
 
 # Data-parallel training gate: the replica-determinism differential
 # suite (DataParallel at N replicas bit-identical to one replica across
-# strategies, optimisers, and schedules; resume under parallelism;
-# typed replica-panic errors), run under the default SIMD dispatch and
-# once more with QUGEO_SIMD=off — the all-reduce bit-identity must hold
-# on both kernel tiers. Then a train_scaling smoke run, whose built-in
-# checks assert replicas=4 trains bit-identically to replicas=1 and
-# that the wrapper's overhead stays bounded; its JSON goes to a scratch
-# path so a smoke run never clobbers the tracked BENCH_TRAIN.json.
+# strategies, optimisers, and schedules; resume under parallelism; the
+# spawn rule; typed replica-panic errors), run under the default SIMD
+# dispatch, once more with QUGEO_SIMD=off — the all-reduce bit-identity
+# must hold on both kernel tiers — and once with QUGEO_SIM_THREADS=1:
+# the suite's threaded runs take their thread budget from explicit
+# configs, so a one-thread machine budget still exercises worker
+# threads. Then a train_scaling smoke run, whose built-in checks assert
+# replicas=4 trains bit-identically to replicas=1 and that the
+# wrapper's overhead stays bounded; its JSON goes to a scratch path so
+# a smoke run never clobbers the tracked BENCH_TRAIN.json.
 train_smoke() {
     echo "==> cargo test --release --test train_parallel (train-smoke)"
     cargo test -q --release --test train_parallel
     echo "==> cargo test --release --test train_parallel (QUGEO_SIMD=off)"
     QUGEO_SIMD=off cargo test -q --release --test train_parallel
+    echo "==> cargo test --release --test train_parallel (QUGEO_SIM_THREADS=1)"
+    QUGEO_SIM_THREADS=1 cargo test -q --release --test train_parallel
     echo "==> train_scaling --smoke"
     cargo run --release --quiet -p qugeo-bench --bin train_scaling -- \
         --smoke --json target/BENCH_TRAIN.smoke.json

@@ -5,34 +5,40 @@
 //! `qugeo::train::parallel`). Also pinned here: plain-strategy anchors
 //! (wrapping with `micro = batch_size` reproduces the unwrapped run
 //! bitwise), resume-under-parallelism across *different* replica
-//! counts, scheduling-policy invariance, and the typed-error contract
-//! for a panicking replica.
+//! counts, thread-budget invariance, the spawn rule (which thread runs a
+//! unit), and the typed-error contract for a panicking replica.
+//!
+//! No test picks where units run: that follows from the inputs. An
+//! explicit `BackendConfig::with_threads` budget and units whose work
+//! clears `REPLICA_SPAWN_MIN_WORK` put replicas on worker threads even
+//! where the machine budget (`QUGEO_SIM_THREADS`) is one thread.
 
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use proptest::prelude::*;
 use qugeo::decoder::Decoder;
 use qugeo::model::{QuGeoVqc, VqcConfig};
 use qugeo::train::{
     Callback, CallbackFlow, DataParallel, EpochContext, EpochStats, MiniBatchVqc,
-    PeriodicCheckpoint, QuBatchVqc, ReplicaThreads, ScheduleSpec, Sweep, SweepSpace, SweepStrategy,
-    TrainConfig, Trainer,
+    PeriodicCheckpoint, QuBatchVqc, ReplicaStep, ScheduleSpec, Shardable, Sweep, SweepSpace,
+    SweepStrategy, TrainConfig, Trainer, REPLICA_SPAWN_MIN_WORK,
 };
 use qugeo::QuGeoError;
 use qugeo_geodata::scaling::ScaledSample;
 use qugeo_nn::optim::{AmsGrad, Sgd, StepDecay, WarmupCosine};
 use qugeo_qsim::ansatz::EntangleOrder;
-use qugeo_qsim::{FaultInjectingBackend, FaultPlan, StatevectorBackend};
+use qugeo_qsim::{BackendConfig, FaultInjectingBackend, FaultPlan, StatevectorBackend};
 use qugeo_tensor::Array2;
 
 /// Synthetic scaled samples with a learnable seismic→velocity link: the
 /// seismic vector is a deterministic function of the layer depth.
-fn synthetic_samples(n: usize) -> Vec<ScaledSample> {
+fn synthetic_samples(n: usize, seismic_len: usize) -> Vec<ScaledSample> {
     const SIDE: usize = 4;
     (0..n)
         .map(|k| {
             let depth = 1 + (k % (SIDE - 1));
-            let seismic: Vec<f64> = (0..16)
+            let seismic: Vec<f64> = (0..seismic_len)
                 .map(|i| {
                     let phase = i as f64 * 0.2 + depth as f64;
                     phase.sin() + 0.3 * (phase * 0.5).cos()
@@ -50,17 +56,33 @@ fn synthetic_samples(n: usize) -> Vec<ScaledSample> {
         .collect()
 }
 
-fn small_model() -> QuGeoVqc {
+fn model(seismic_len: usize, num_blocks: usize) -> QuGeoVqc {
     QuGeoVqc::new(VqcConfig {
-        seismic_len: 16,
+        seismic_len,
         num_groups: 1,
-        num_blocks: 2,
+        num_blocks,
         mixing_blocks: 0,
         entangle: EntangleOrder::Ring,
         decoder: Decoder::LayerWise { rows: 4 },
         max_qubits: 16,
     })
     .expect("valid config")
+}
+
+/// 4 qubits × 2 blocks: a unit is ~150 amplitude-ops, so every step
+/// runs inline on the coordinator.
+fn small_model() -> QuGeoVqc {
+    model(16, 2)
+}
+
+/// Seismic length of [`wide_model`]'s samples.
+const WIDE_LEN: usize = 1024;
+
+/// 10 qubits × 4 blocks: one sample is ~42 k amplitude-ops, above
+/// `REPLICA_SPAWN_MIN_WORK`, so any step of two or more units can run on
+/// worker threads.
+fn wide_model() -> QuGeoVqc {
+    model(WIDE_LEN, 4)
 }
 
 fn split(samples: Vec<ScaledSample>, at: usize) -> (Vec<ScaledSample>, Vec<ScaledSample>) {
@@ -160,7 +182,7 @@ fn build_trainer(
 
 /// Runs one full training, either through the plain strategy
 /// (`parallel: None`) or wrapped in `DataParallel` with the given
-/// `(replicas, micro_batch, threading)`.
+/// `(replicas, micro_batch, thread budget)`.
 #[allow(clippy::too_many_arguments)]
 fn fit_with(
     model: &QuGeoVqc,
@@ -170,7 +192,7 @@ fn fit_with(
     strategy: StrategyKind,
     opt: OptKind,
     sched: SchedKind,
-    parallel: Option<(usize, usize, ReplicaThreads)>,
+    parallel: Option<(usize, usize, usize)>,
 ) -> Run {
     let sink = Arc::new(Mutex::new(Vec::new()));
     let trainer = build_trainer(cfg, opt, sched, Arc::clone(&sink));
@@ -178,23 +200,23 @@ fn fit_with(
         (StrategyKind::MiniBatch(b), None) => {
             trainer.fit(&mut MiniBatchVqc::new(model, train, test, b).unwrap())
         }
-        (StrategyKind::MiniBatch(b), Some((r, micro, th))) => {
+        (StrategyKind::MiniBatch(b), Some((r, micro, budget))) => {
             let inner = MiniBatchVqc::new(model, train, test, b).unwrap();
-            let mut dp = DataParallel::new(&inner, r)
+            let budget = BackendConfig::with_threads(budget);
+            let mut dp = DataParallel::with_config(&inner, r, budget)
                 .unwrap()
-                .micro_batch(micro)
-                .threading(th);
+                .micro_batch(micro);
             trainer.fit(&mut dp)
         }
         (StrategyKind::QuBatch(b), None) => {
             trainer.fit(&mut QuBatchVqc::new(model, train, test, b).unwrap())
         }
-        (StrategyKind::QuBatch(b), Some((r, micro, th))) => {
+        (StrategyKind::QuBatch(b), Some((r, micro, budget))) => {
             let inner = QuBatchVqc::new(model, train, test, b).unwrap();
-            let mut dp = DataParallel::new(&inner, r)
+            let budget = BackendConfig::with_threads(budget);
+            let mut dp = DataParallel::with_config(&inner, r, budget)
                 .unwrap()
-                .micro_batch(micro)
-                .threading(th);
+                .micro_batch(micro);
             trainer.fit(&mut dp)
         }
     }
@@ -209,12 +231,12 @@ fn fit_with(
 
 /// The headline matrix: for every strategy × optimiser, the plain
 /// unwrapped run and `DataParallel` at replicas ∈ {1, 2, 3, 8} (with
-/// `micro = batch_size`, worker threads forced on) agree bit for bit on
-/// parameters, history, and optimiser moments.
+/// `micro = batch_size` and a thread per replica in the budget) agree
+/// bit for bit on parameters, history, and optimiser moments.
 #[test]
 fn replicas_are_bit_identical_to_plain_for_every_strategy_and_optimizer() {
     let model = small_model();
-    let (train, test) = split(synthetic_samples(7), 5);
+    let (train, test) = split(synthetic_samples(7, 16), 5);
     let cfg = TrainConfig {
         epochs: 3,
         initial_lr: 0.1,
@@ -242,7 +264,7 @@ fn replicas_are_bit_identical_to_plain_for_every_strategy_and_optimizer() {
                     strategy,
                     opt,
                     SchedKind::Cosine,
-                    Some((replicas, strategy.anchor_micro(), ReplicaThreads::Always)),
+                    Some((replicas, strategy.anchor_micro(), replicas)),
                 );
                 assert_eq!(
                     dp, plain,
@@ -259,7 +281,7 @@ fn replicas_are_bit_identical_to_plain_for_every_strategy_and_optimizer() {
 #[test]
 fn schedules_preserve_the_wrapped_vs_plain_bit_identity() {
     let model = small_model();
-    let (train, test) = split(synthetic_samples(6), 4);
+    let (train, test) = split(synthetic_samples(6, 16), 4);
     let cfg = TrainConfig {
         epochs: 4,
         initial_lr: 0.1,
@@ -285,47 +307,43 @@ fn schedules_preserve_the_wrapped_vs_plain_bit_identity() {
             StrategyKind::MiniBatch(2),
             OptKind::Adam,
             sched,
-            Some((3, 2, ReplicaThreads::Always)),
+            Some((3, 2, 3)),
         );
         assert_eq!(dp, plain, "{sched:?} broke the bit-identity");
     }
 }
 
-/// The threading policy is pure scheduling: inline, forced-threaded, and
-/// auto evaluation produce bit-identical runs, as does piling on more
-/// replicas than units.
+/// Where units run is pure scheduling: with units above the spawn rule,
+/// runs inline (one replica, or a budget of one thread) and on 2–4
+/// worker threads produce bit-identical results for both strategies, as
+/// does piling on more replicas than the budget or the units.
 #[test]
 fn threading_policy_and_replica_surplus_never_change_results() {
-    let model = small_model();
-    let (train, test) = split(synthetic_samples(6), 4);
+    let model = wide_model();
+    let (train, test) = split(synthetic_samples(6, WIDE_LEN), 4);
     let cfg = TrainConfig {
         epochs: 3,
         initial_lr: 0.1,
         seed: 29,
         eval_every: 0,
     };
-    let strategy = StrategyKind::MiniBatch(4);
-    // micro=1 decomposes each 4-sample step into four single-sample
-    // units — a different (deterministic) reduction grouping than the
-    // plain strategy, so the reference is the single-replica inline run.
-    let reference = fit_with(
-        &model,
-        &train,
-        &test,
-        cfg,
-        strategy,
-        OptKind::Adam,
-        SchedKind::Cosine,
-        Some((1, 1, ReplicaThreads::Never)),
-    );
-    for (replicas, threads) in [
-        (1, ReplicaThreads::Always),
-        (3, ReplicaThreads::Auto),
-        (3, ReplicaThreads::Never),
-        (5, ReplicaThreads::Always),
-        (8, ReplicaThreads::Always),
-    ] {
-        let run = fit_with(
+    for strategy in [StrategyKind::MiniBatch(4), StrategyKind::QuBatch(4)] {
+        let work = match strategy {
+            StrategyKind::MiniBatch(b) => {
+                MiniBatchVqc::new(&model, &train, &test, b).unwrap().unit_work(1)
+            }
+            StrategyKind::QuBatch(b) => {
+                QuBatchVqc::new(&model, &train, &test, b).unwrap().unit_work(1)
+            }
+        };
+        assert!(
+            work >= REPLICA_SPAWN_MIN_WORK,
+            "{strategy:?}: a unit of {work} amplitude-ops would never leave the coordinator"
+        );
+        // micro=1 decomposes each 4-sample step into four single-sample
+        // units — a different (deterministic) reduction grouping than the
+        // plain strategy, so the reference is the single-replica inline run.
+        let reference = fit_with(
             &model,
             &train,
             &test,
@@ -333,12 +351,151 @@ fn threading_policy_and_replica_surplus_never_change_results() {
             strategy,
             OptKind::Adam,
             SchedKind::Cosine,
-            Some((replicas, 1, threads)),
+            Some((1, 1, 1)),
         );
-        assert_eq!(
-            run, reference,
-            "replicas={replicas}, {threads:?} diverged from the inline run"
-        );
+        for (replicas, budget) in [(1, 4), (3, 1), (3, 2), (5, 4), (8, 8)] {
+            let run = fit_with(
+                &model,
+                &train,
+                &test,
+                cfg,
+                strategy,
+                OptKind::Adam,
+                SchedKind::Cosine,
+                Some((replicas, 1, budget)),
+            );
+            assert_eq!(
+                run, reference,
+                "{strategy:?} at replicas={replicas}, budget={budget} diverged from the inline run"
+            );
+        }
+    }
+}
+
+/// A test-double strategy whose units do no work but record the thread
+/// that ran them: two steps of four single-sample units each.
+struct ThreadProbe {
+    /// What `unit_work` reports for every unit.
+    work: usize,
+    /// Panic in any unit that runs off the `caller` thread.
+    panic_off_caller: bool,
+    caller: ThreadId,
+    seen: Mutex<Vec<ThreadId>>,
+}
+
+impl ThreadProbe {
+    const UNITS_PER_STEP: usize = 4;
+
+    fn new(work: usize, panic_off_caller: bool) -> Self {
+        Self {
+            work,
+            panic_off_caller,
+            caller: std::thread::current().id(),
+            seen: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Trains the probe for one epoch on 4 replicas under `budget`
+    /// threads and returns the per-step sets of threads that ran units.
+    fn run(&self, budget: usize) -> Result<Vec<Vec<ThreadId>>, QuGeoError> {
+        let mut dp = DataParallel::with_config(self, 4, BackendConfig::with_threads(budget))?;
+        Trainer::new(TrainConfig::smoke(1)).fit(&mut dp)?;
+        let seen = self.seen.lock().unwrap();
+        Ok(seen
+            .chunks(Self::UNITS_PER_STEP)
+            .map(|step| {
+                let mut threads: Vec<ThreadId> = Vec::new();
+                for t in step {
+                    if !threads.contains(t) {
+                        threads.push(*t);
+                    }
+                }
+                threads
+            })
+            .collect())
+    }
+}
+
+struct ProbeReplica<'a> {
+    probe: &'a ThreadProbe,
+    grad: Vec<f64>,
+}
+
+impl ReplicaStep for ProbeReplica<'_> {
+    fn eval_unit(&mut self, _unit: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError> {
+        let here = std::thread::current().id();
+        self.probe.seen.lock().unwrap().push(here);
+        if self.probe.panic_off_caller && here != self.probe.caller {
+            panic!("probe unit on a worker thread");
+        }
+        self.grad.resize(params.len(), 0.0);
+        Ok((0.0, &self.grad))
+    }
+}
+
+impl Shardable for ThreadProbe {
+    fn num_train_samples(&self) -> usize {
+        2 * Self::UNITS_PER_STEP
+    }
+
+    fn init_params(&self, _seed: u64) -> Vec<f64> {
+        vec![0.5; 3]
+    }
+
+    fn samples_per_step(&self) -> usize {
+        Self::UNITS_PER_STEP
+    }
+
+    fn unit_work(&self, _unit_len: usize) -> usize {
+        self.work
+    }
+
+    fn replica(&self, _config: BackendConfig) -> Box<dyn ReplicaStep + '_> {
+        Box::new(ProbeReplica {
+            probe: self,
+            grad: Vec::new(),
+        })
+    }
+
+    fn evaluate_params(&self, _params: &[f64]) -> Result<(f64, f64), QuGeoError> {
+        Ok((0.0, 1.0))
+    }
+}
+
+/// The spawn rule, observed from inside the units: work below
+/// `REPLICA_SPAWN_MIN_WORK` stays on the caller's thread whatever the
+/// budget; above it, 4 replicas on a budget of 2 run each step on at
+/// most 2 threads — the caller plus one worker.
+#[test]
+fn units_run_on_worker_threads_only_within_budget_and_above_the_spawn_rule() {
+    let caller = std::thread::current().id();
+
+    let below = ThreadProbe::new(REPLICA_SPAWN_MIN_WORK / 8, false);
+    let steps = below.run(4).unwrap();
+    assert_eq!(steps.len(), 2);
+    assert!(steps.iter().all(|threads| threads == &[caller]), "{steps:?}");
+
+    let above = ThreadProbe::new(REPLICA_SPAWN_MIN_WORK, false);
+    let steps = above.run(2).unwrap();
+    assert_eq!(steps.len(), 2);
+    for threads in &steps {
+        assert!(threads.len() <= 2, "more threads than the budget: {threads:?}");
+        assert!(threads.contains(&caller), "the coordinator runs a share itself");
+        assert!(threads.len() == 2, "no unit ran on a worker thread: {threads:?}");
+    }
+}
+
+/// A unit that panics on a worker thread surfaces as the typed
+/// [`QuGeoError::ReplicaPanic`], naming the replica whose share it was.
+#[test]
+fn a_panic_on_a_worker_thread_surfaces_as_replica_panic() {
+    let probe = ThreadProbe::new(REPLICA_SPAWN_MIN_WORK, true);
+    match probe.run(2) {
+        Err(QuGeoError::ReplicaPanic { replica, reason }) => {
+            assert_eq!(replica, 1, "the coordinator's share is replica 0");
+            assert!(reason.contains("worker thread"), "payload message lost: {reason}");
+        }
+        other => panic!("expected ReplicaPanic, got {other:?}"),
     }
 }
 
@@ -346,7 +503,7 @@ fn threading_policy_and_replica_surplus_never_change_results() {
 #[test]
 fn zero_replicas_is_a_config_error() {
     let model = small_model();
-    let (train, test) = split(synthetic_samples(4), 2);
+    let (train, test) = split(synthetic_samples(4, 16), 2);
     let inner = MiniBatchVqc::new(&model, &train, &test, 2).unwrap();
     assert!(matches!(
         DataParallel::new(&inner, 0),
@@ -361,7 +518,7 @@ fn zero_replicas_is_a_config_error() {
 #[test]
 fn resuming_with_a_different_replica_count_is_bit_identical() {
     let model = small_model();
-    let (train, test) = split(synthetic_samples(6), 4);
+    let (train, test) = split(synthetic_samples(6, 16), 4);
     let cfg = TrainConfig {
         epochs: 8,
         initial_lr: 0.1,
@@ -381,10 +538,7 @@ fn resuming_with_a_different_replica_count_is_bit_identical() {
     // replicas, having checkpointed at epochs 1 and 3.
     {
         let inner = MiniBatchVqc::new(&model, &train, &test, 2).unwrap();
-        let mut dp = DataParallel::new(&inner, 2)
-            .unwrap()
-            .micro_batch(2)
-            .threading(ReplicaThreads::Always);
+        let mut dp = DataParallel::new(&inner, 2).unwrap().micro_batch(2);
         let interrupted = Trainer::new(cfg)
             .callback(PeriodicCheckpoint::new(&model, &dir, 2, "dp-resume").unwrap())
             .callback(StopAfter(3))
@@ -400,10 +554,7 @@ fn resuming_with_a_different_replica_count_is_bit_identical() {
     assert_eq!(ckpt.epoch, Some(3));
     let sink = Arc::new(Mutex::new(Vec::new()));
     let inner = MiniBatchVqc::new(&model, &train, &test, 2).unwrap();
-    let mut dp = DataParallel::new(&inner, 3)
-        .unwrap()
-        .micro_batch(2)
-        .threading(ReplicaThreads::Always);
+    let mut dp = DataParallel::new(&inner, 3).unwrap().micro_batch(2);
     let resumed = Trainer::new(cfg)
         .callback(CaptureOptState(Arc::clone(&sink)))
         .fit_resuming(&mut dp, &ckpt)
@@ -424,13 +575,13 @@ fn resuming_with_a_different_replica_count_is_bit_identical() {
 }
 
 /// A replica whose engine panics mid-step surfaces as the typed
-/// [`QuGeoError::ReplicaPanic`] — caught on the worker thread, never an
-/// unwind through the training loop, never an optimiser step on a
-/// partial all-reduce.
+/// [`QuGeoError::ReplicaPanic`] — caught on the coordinator here (the
+/// small model's units stay inline), never an unwind through the
+/// training loop, never an optimiser step on a partial all-reduce.
 #[test]
 fn panicking_replica_surfaces_as_a_typed_error() {
     let model = small_model();
-    let (train, test) = split(synthetic_samples(6), 4);
+    let (train, test) = split(synthetic_samples(6, 16), 4);
     let faulty = FaultInjectingBackend::new(
         StatevectorBackend::default(),
         FaultPlan {
@@ -439,10 +590,7 @@ fn panicking_replica_surfaces_as_a_typed_error() {
         },
     );
     let inner = MiniBatchVqc::with_backend(&model, &train, &test, 4, &faulty).unwrap();
-    let mut dp = DataParallel::new(&inner, 2)
-        .unwrap()
-        .micro_batch(1)
-        .threading(ReplicaThreads::Always);
+    let mut dp = DataParallel::new(&inner, 2).unwrap().micro_batch(1);
     let err = Trainer::new(TrainConfig::smoke(2)).fit(&mut dp).unwrap_err();
     match err {
         QuGeoError::ReplicaPanic { replica, reason } => {
@@ -462,7 +610,7 @@ fn panicking_replica_surfaces_as_a_typed_error() {
 /// specs every time.
 #[test]
 fn sweep_leaderboard_is_parallelism_invariant() {
-    let samples = synthetic_samples(6);
+    let samples = synthetic_samples(6, 16);
     let (train, test) = (&samples[..4], &samples[4..]);
     let base = VqcConfig {
         seismic_len: 16,
@@ -511,7 +659,9 @@ proptest! {
 
     /// Randomised instances of the core contract: any (batch, micro,
     /// replica-count, seed, epoch-count) combination trains to the same
-    /// bits on N replicas as on one.
+    /// bits on N replicas, with a thread each, as on one. The wide
+    /// model's units clear the spawn rule, so every draw with two or more
+    /// units per step runs on worker threads.
     #[test]
     fn replica_count_never_changes_training_output(
         seed in 0u64..512,
@@ -520,17 +670,17 @@ proptest! {
         replicas in 2usize..=6,
         epochs in 2usize..=3,
     ) {
-        let model = small_model();
-        let (train, test) = split(synthetic_samples(6), 4);
+        let model = wide_model();
+        let (train, test) = split(synthetic_samples(6, WIDE_LEN), 4);
         let cfg = TrainConfig { epochs, initial_lr: 0.1, seed, eval_every: 0 };
         let strategy = StrategyKind::MiniBatch(batch);
         let single = fit_with(
             &model, &train, &test, cfg, strategy, OptKind::Adam, SchedKind::Cosine,
-            Some((1, micro, ReplicaThreads::Never)),
+            Some((1, micro, 1)),
         );
         let multi = fit_with(
             &model, &train, &test, cfg, strategy, OptKind::Adam, SchedKind::Cosine,
-            Some((replicas, micro, ReplicaThreads::Always)),
+            Some((replicas, micro, replicas)),
         );
         prop_assert_eq!(single, multi);
     }
