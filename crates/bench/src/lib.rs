@@ -205,19 +205,18 @@ pub struct ScaledTriple {
 
 /// Builds all three scaled datasets for a preset.
 ///
+/// The raw sets are held one at a time: the auxiliary set is loaded,
+/// trains the compressor and is dropped before the evaluation set is
+/// loaded and scaled three ways.
+///
 /// # Errors
 ///
 /// Propagates scaling and training errors.
 pub fn build_scaled_triple(preset: &Preset) -> Result<ScaledTriple, QuGeoError> {
     let layout = ScaledLayout::paper_default();
-    let dataset = cached_dataset("eval", &preset.dataset_config())?;
-    let aux = cached_dataset("aux", &preset.aux_config())?;
     let fw_cfg = preset.fw_config();
 
-    eprintln!("[harness] scaling with D-Sample…");
-    let d_sample = scale_d_sample(&dataset, &layout)?;
-    eprintln!("[harness] scaling with Q-D-FW…");
-    let fw = scale_forward_model(&dataset, &layout, &fw_cfg)?;
+    let aux = cached_dataset("aux", &preset.aux_config())?;
     eprintln!(
         "[harness] training Q-D-CNN compressor ({} aux samples, {} epochs)…",
         preset.aux_samples, preset.cnn_epochs
@@ -232,6 +231,13 @@ pub fn build_scaled_triple(preset: &Preset) -> Result<ScaledTriple, QuGeoError> 
             seed: preset.seed ^ 0x5A5A,
         },
     )?;
+    drop(aux);
+
+    let dataset = cached_dataset("eval", &preset.dataset_config())?;
+    eprintln!("[harness] scaling with D-Sample…");
+    let d_sample = scale_d_sample(&dataset, &layout)?;
+    eprintln!("[harness] scaling with Q-D-FW…");
+    let fw = scale_forward_model(&dataset, &layout, &fw_cfg)?;
     eprintln!("[harness] scaling with Q-D-CNN…");
     let cnn = scale_cnn(&dataset, &compressor, &layout)?;
 

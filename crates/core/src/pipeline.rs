@@ -242,12 +242,16 @@ impl Default for CnnScalingConfig {
 /// (the paper uses 500 extra FlatVelA samples): inputs are raw per-source
 /// gathers, targets are the ℓ₂-normalised physics-scaled groups.
 ///
-/// One compressor is shared across sources.
+/// One compressor is shared across sources. Training reads the gathers
+/// in place: past `aux` itself it holds, per (sample, picked source)
+/// pair, the gather's mean and standard deviation and its target, plus
+/// one recycled `nt × nr` buffer that each step standardises into.
 ///
 /// # Errors
 ///
-/// Returns an error for empty datasets, a layout that keeps no sources or
-/// more than the data has, or modelling/network failures.
+/// Returns an error for empty datasets, samples whose seismic shapes
+/// differ, a layout that keeps no sources or more than the data has, or
+/// modelling/network failures.
 pub fn train_cnn_scaler(
     aux: &Dataset,
     layout: &ScaledLayout,
@@ -267,16 +271,27 @@ pub fn train_cnn_scaler(
         });
     }
 
-    // Build the ⟨gather, physics-scaled group⟩ training pairs.
+    // Build the ⟨gather, physics-scaled group⟩ training pairs. A pair
+    // borrows its raw gather and keeps only the gather's z-score
+    // statistics; each step standardises it into one recycled buffer, so
+    // no copy of a gather outlives its step.
     let picks = select_source_indices(num_sources, layout.num_sources)?;
     let group_len = layout.group_len();
-    let mut inputs: Vec<Array2> = Vec::new();
-    let mut targets: Vec<Vec<f64>> = Vec::new();
-    for s in aux.iter() {
+    let mut inputs: Vec<Gather<'_>> = Vec::with_capacity(aux.len() * picks.len());
+    let mut targets: Vec<Vec<f64>> = Vec::with_capacity(aux.len() * picks.len());
+    for (i, s) in aux.iter().enumerate() {
+        if s.seismic.shape() != (num_sources, nt, nr) {
+            return Err(QuGeoError::Config {
+                reason: format!(
+                    "auxiliary sample {i} has shape {:?}, the first has {:?}",
+                    s.seismic.shape(),
+                    (num_sources, nt, nr)
+                ),
+            });
+        }
         let fw = fw_scale_seismic(s.velocity.map(), layout, fw_config)?;
         for (gi, &src) in picks.iter().enumerate() {
-            let gather = s.seismic.slice(src);
-            inputs.push(standardize_gather(&gather));
+            inputs.push(Gather::new(s.seismic.plane(src)));
             targets.push(l2_normalized(&fw[gi * group_len..(gi + 1) * group_len]));
         }
     }
@@ -293,10 +308,12 @@ pub fn train_cnn_scaler(
     let mut params = compressor.params();
     let mut adam = Adam::new(params.len(), cnn_config.initial_lr);
     let schedule = CosineAnnealing::new(cnn_config.initial_lr, cnn_config.epochs);
+    let mut x = Array2::zeros(nt, nr);
     for epoch in 0..cnn_config.epochs {
         adam.set_learning_rate(schedule.lr_at(epoch));
-        for (x, t) in inputs.iter().zip(&targets) {
-            let (_, grad) = compressor.loss_and_grad(x, t)?;
+        for (gather, t) in inputs.iter().zip(&targets) {
+            gather.standardize_into(&mut x);
+            let (_, grad) = compressor.loss_and_grad(&x, t)?;
             adam.step(&mut params, &grad);
             compressor.set_params(&params);
         }
@@ -315,9 +332,11 @@ pub fn scale_cnn(
     compressor: &CnnCompressor,
     layout: &ScaledLayout,
 ) -> Result<ScaledDataset, QuGeoError> {
+    let input = (compressor.config().input_h, compressor.config().input_w);
+    let mut x = Array2::zeros(input.0, input.1);
     let mut samples = Vec::with_capacity(dataset.len());
     for s in dataset.iter() {
-        let (num_sources, _, _) = s.seismic.shape();
+        let (num_sources, nt, nr) = s.seismic.shape();
         if num_sources < layout.num_sources {
             return Err(QuGeoError::Config {
                 reason: format!(
@@ -327,10 +346,15 @@ pub fn scale_cnn(
             });
         }
         let picks = select_source_indices(num_sources, layout.num_sources)?;
+        if (nt, nr) != input {
+            return Err(QuGeoError::Config {
+                reason: format!("sample gathers are {nt}x{nr}, the compressor takes {input:?}"),
+            });
+        }
         let mut seismic = Vec::with_capacity(layout.seismic_len());
         for &src in &picks {
-            let gather = standardize_gather(&s.seismic.slice(src));
-            seismic.extend(compressor.forward(&gather)?);
+            Gather::new(s.seismic.plane(src)).standardize_into(&mut x);
+            seismic.extend(compressor.forward(&x)?);
         }
         let velocity = resample::nearest2(
             s.velocity.map(),
@@ -408,12 +432,38 @@ pub fn normalized_target(sample: &ScaledSample) -> Array2 {
     scaling::normalize_velocity(&sample.velocity)
 }
 
-/// Z-scores a gather (zero mean, unit variance) — the standard input
+/// A raw gather borrowed from its dataset, with the statistics that
+/// z-score it (zero mean, unit variance) — the standard input
 /// normalisation for the CNN compressor.
-fn standardize_gather(gather: &Array2) -> Array2 {
-    let mean = gather.mean();
-    let sd = gather.variance().sqrt().max(1e-12);
-    gather.map(|v| (v - mean) / sd)
+struct Gather<'a> {
+    values: &'a [f64],
+    mean: f64,
+    /// Standard deviation, floored at `1e-12` so a constant gather maps
+    /// to zeros rather than NaN.
+    sd: f64,
+}
+
+impl<'a> Gather<'a> {
+    /// Computes the statistics once, in `Array2::mean` and
+    /// `Array2::variance`'s expressions and order.
+    fn new(values: &'a [f64]) -> Self {
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        Self {
+            values,
+            mean,
+            sd: variance.sqrt().max(1e-12),
+        }
+    }
+
+    /// Writes the z-scored gather into `out`, which has its length.
+    fn standardize_into(&self, out: &mut Array2) {
+        debug_assert_eq!(out.as_slice().len(), self.values.len());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(self.values) {
+            *o = (v - self.mean) / self.sd;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -577,6 +627,152 @@ mod tests {
             ],
             "compressor params, Q-D-CNN features, CNN-LY params"
         );
+    }
+
+    /// The compressor loop as it was before training streamed its
+    /// inputs: every picked gather z-scored once into its own copy, all
+    /// of them kept for the whole of training. Frozen as the oracle for
+    /// the streamed [`train_cnn_scaler`].
+    fn frozen_train_cnn_scaler(
+        aux: &Dataset,
+        layout: &ScaledLayout,
+        fw_config: &FwScalingConfig,
+        cnn_config: &CnnScalingConfig,
+    ) -> CnnCompressor {
+        let (num_sources, nt, nr) = aux.samples()[0].seismic.shape();
+        let picks = select_source_indices(num_sources, layout.num_sources).unwrap();
+        let group_len = layout.group_len();
+        let mut inputs: Vec<Array2> = Vec::new();
+        let mut targets: Vec<Vec<f64>> = Vec::new();
+        for s in aux.iter() {
+            let fw = fw_scale_seismic(s.velocity.map(), layout, fw_config).unwrap();
+            for (gi, &src) in picks.iter().enumerate() {
+                inputs.push(frozen_standardize_gather(&s.seismic.slice(src)));
+                targets.push(l2_normalized(&fw[gi * group_len..(gi + 1) * group_len]));
+            }
+        }
+        let mut compressor = CnnCompressor::new(
+            CompressorConfig {
+                input_h: nt,
+                input_w: nr,
+                out_features: group_len,
+            },
+            cnn_config.seed,
+        )
+        .unwrap();
+        let mut params = compressor.params();
+        let mut adam = Adam::new(params.len(), cnn_config.initial_lr);
+        let schedule = CosineAnnealing::new(cnn_config.initial_lr, cnn_config.epochs);
+        for epoch in 0..cnn_config.epochs {
+            adam.set_learning_rate(schedule.lr_at(epoch));
+            for (x, t) in inputs.iter().zip(&targets) {
+                let (_, grad) = compressor.loss_and_grad(x, t).unwrap();
+                adam.step(&mut params, &grad);
+                compressor.set_params(&params);
+            }
+        }
+        compressor
+    }
+
+    /// The frozen `scale_cnn` features: each picked gather copied out,
+    /// z-scored into a second copy and compressed.
+    fn frozen_cnn_features(
+        dataset: &Dataset,
+        compressor: &CnnCompressor,
+        layout: &ScaledLayout,
+    ) -> Vec<f64> {
+        let mut features = Vec::new();
+        for s in dataset.iter() {
+            let picks = select_source_indices(s.seismic.shape().0, layout.num_sources).unwrap();
+            for &src in &picks {
+                let gather = frozen_standardize_gather(&s.seismic.slice(src));
+                features.extend(compressor.forward(&gather).unwrap());
+            }
+        }
+        features
+    }
+
+    fn frozen_standardize_gather(gather: &Array2) -> Array2 {
+        let mean = gather.mean();
+        let sd = gather.variance().sqrt().max(1e-12);
+        gather.map(|v| (v - mean) / sd)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `tiny_dataset(3)` with one picked gather of its second sample set
+    /// to a constant, whose standard deviation falls under the `1e-12`
+    /// floor.
+    fn dataset_with_a_constant_gather() -> Dataset {
+        let mut samples = tiny_dataset(3).samples().to_vec();
+        let cube = &mut samples[1].seismic;
+        let (num_sources, nt, nr) = cube.shape();
+        let src = select_source_indices(num_sources, 4).unwrap()[2];
+        let constant = Array2::filled(nt, nr, 0.1);
+        assert!(constant.variance().sqrt() < 1e-12, "the floor must apply");
+        cube.set_slice(src, &constant).unwrap();
+        Dataset::from_samples(samples)
+    }
+
+    #[test]
+    fn streamed_compressor_matches_the_frozen_materialised_loop_bit_for_bit() {
+        let layout = ScaledLayout::paper_default();
+        let fw_cfg = fast_fw();
+        for (ds, runs) in [
+            (tiny_dataset(3), [(3, 1), (11, 2), (2024, 4)]),
+            (dataset_with_a_constant_gather(), [(3, 2), (7, 3), (17, 1)]),
+        ] {
+            for (seed, epochs) in runs {
+                let cfg = CnnScalingConfig {
+                    epochs,
+                    initial_lr: 0.02,
+                    seed,
+                };
+                let streamed = train_cnn_scaler(&ds, &layout, &fw_cfg, &cfg).unwrap();
+                let frozen = frozen_train_cnn_scaler(&ds, &layout, &fw_cfg, &cfg);
+                assert_eq!(
+                    bits(&streamed.params()),
+                    bits(&frozen.params()),
+                    "compressor params at seed {seed}, {epochs} epochs"
+                );
+                let features: Vec<f64> = scale_cnn(&ds, &streamed, &layout)
+                    .unwrap()
+                    .samples
+                    .iter()
+                    .flat_map(|s| s.seismic.clone())
+                    .collect();
+                assert_eq!(
+                    bits(&features),
+                    bits(&frozen_cnn_features(&ds, &frozen, &layout)),
+                    "Q-D-CNN features at seed {seed}, {epochs} epochs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compressor_rejects_mismatched_gather_shapes() {
+        let layout = ScaledLayout::paper_default();
+        let mut samples = tiny_dataset(2).samples().to_vec();
+        let (num_sources, nt, nr) = samples[1].seismic.shape();
+        samples[1].seismic = qugeo_tensor::Array3::zeros(num_sources, nt, nr - 1);
+        let mixed = Dataset::from_samples(samples);
+        let result = train_cnn_scaler(&mixed, &layout, &fast_fw(), &CnnScalingConfig::default());
+        assert!(matches!(result, Err(QuGeoError::Config { .. })), "{result:?}");
+
+        let compressor = CnnCompressor::new(
+            CompressorConfig {
+                input_h: nt,
+                input_w: nr,
+                out_features: layout.group_len(),
+            },
+            0,
+        )
+        .unwrap();
+        let result = scale_cnn(&mixed, &compressor, &layout);
+        assert!(matches!(result, Err(QuGeoError::Config { .. })), "{result:?}");
     }
 
     fn sourceless_layout() -> ScaledLayout {

@@ -284,9 +284,10 @@ impl<S: Shardable> TrainStep for DataParallel<'_, S> {
     }
 }
 
-/// One optimiser step's chunk, sharded: its units are split into
-/// consecutive shares, share `r` evaluated by replica `r`, then weighted
-/// and tree-reduced into the step's mean gradient.
+/// One optimiser step's chunk, sharded: its units are split into one
+/// consecutive share per worker, sizes differing by at most one unit,
+/// share `r` evaluated by replica `r`, then weighted and tree-reduced
+/// into the step's mean gradient.
 impl ReplicaStep for Shards<'_> {
     fn eval_unit(&mut self, chunk: &[usize], params: &[f64]) -> Result<(f64, &[f64]), QuGeoError> {
         let units: Vec<&[usize]> = chunk.chunks(self.micro).collect();
@@ -296,28 +297,33 @@ impl ReplicaStep for Shards<'_> {
             .min(self.contexts.len())
             .min(units.len())
             .max(1);
-        let per = units.len().div_ceil(workers);
         if self.slots.len() < units.len() {
             self.slots.resize_with(units.len(), Vec::new);
         }
-        let slots = &mut self.slots[..units.len()];
-        let mut shares = self
-            .contexts
-            .iter_mut()
-            .zip(units.chunks(per))
-            .zip(slots.chunks_mut(per));
+        // Exactly `workers` consecutive shares, the first `units % workers`
+        // of them one unit longer than the rest.
+        let mut shares = Vec::with_capacity(workers);
+        let (mut rest_units, mut rest_slots) = (&units[..], &mut self.slots[..units.len()]);
+        for (r, ctx) in self.contexts.iter_mut().take(workers).enumerate() {
+            let len = units.len() / workers + usize::from(r < units.len() % workers);
+            let (share_units, tail_units) = rest_units.split_at(len);
+            let (share_slots, tail_slots) = std::mem::take(&mut rest_slots).split_at_mut(len);
+            shares.push((ctx, share_units, share_slots));
+            (rest_units, rest_slots) = (tail_units, tail_slots);
+        }
+        let mut shares = shares.into_iter();
         let chunk_len = chunk.len();
         let outcomes = std::thread::scope(|scope| {
             // Every share but the first goes to a worker thread; the
             // coordinator evaluates the first itself.
             let first = shares.next();
             let handles: Vec<_> = shares
-                .map(|((ctx, units), slots)| {
+                .map(|(ctx, units, slots)| {
                     scope.spawn(move || eval_share(ctx.as_mut(), units, slots, params, chunk_len))
                 })
                 .collect();
             let mut outcomes = Vec::with_capacity(handles.len() + 1);
-            if let Some(((ctx, units), slots)) = first {
+            if let Some((ctx, units, slots)) = first {
                 outcomes.push(catch_unwind(AssertUnwindSafe(|| {
                     eval_share(ctx.as_mut(), units, slots, params, chunk_len)
                 })));
@@ -336,7 +342,7 @@ impl ReplicaStep for Shards<'_> {
                 step_loss += loss;
             }
         }
-        Ok((step_loss, tree_reduce(slots)))
+        Ok((step_loss, tree_reduce(&mut self.slots[..units.len()])))
     }
 }
 

@@ -54,7 +54,8 @@ pub fn read_npy(path: &Path) -> Result<NpyArray, GeodataError> {
 ///
 /// # Errors
 ///
-/// Returns [`GeodataError::CorruptCache`] for malformed input.
+/// Returns [`GeodataError::CorruptCache`] for malformed input, including
+/// a shape whose element or byte count overflows or exceeds the data.
 pub fn parse_npy(bytes: &[u8]) -> Result<NpyArray, GeodataError> {
     let bad = |reason: String| GeodataError::CorruptCache { reason };
     if bytes.len() < 10 || &bytes[..6] != b"\x93NUMPY" {
@@ -93,24 +94,31 @@ pub fn parse_npy(bytes: &[u8]) -> Result<NpyArray, GeodataError> {
     }
     let shape = extract_shape(header).ok_or_else(|| bad("missing shape".into()))?;
 
-    let count: usize = shape.iter().product();
+    // The shape is untrusted: bound it by the bytes actually present
+    // before allocating.
+    let count = shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| bad(format!("shape {shape:?} overflows the element count")))?;
+    let need = count
+        .checked_mul(elem_size)
+        .ok_or_else(|| bad(format!("shape {shape:?} overflows the byte count")))?;
     let data_bytes = &bytes[data_start..];
-    if data_bytes.len() < count * elem_size {
+    if data_bytes.len() < need {
         return Err(bad(format!(
-            "data truncated: need {} bytes, have {}",
-            count * elem_size,
+            "data truncated: need {need} bytes, have {}",
             data_bytes.len()
         )));
     }
     let mut data = Vec::with_capacity(count);
     match elem_size {
         4 => {
-            for chunk in data_bytes[..count * 4].chunks_exact(4) {
+            for chunk in data_bytes[..need].chunks_exact(4) {
                 data.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) as f64);
             }
         }
         _ => {
-            for chunk in data_bytes[..count * 8].chunks_exact(8) {
+            for chunk in data_bytes[..need].chunks_exact(8) {
                 data.push(f64::from_le_bytes([
                     chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6],
                     chunk[7],
@@ -154,21 +162,29 @@ fn extract_shape(header: &str) -> Option<Vec<usize>> {
 ///
 /// # Errors
 ///
-/// Returns [`GeodataError::CorruptCache`] unless the file is 4-D.
+/// Returns [`GeodataError::CorruptCache`] unless the file is 4-D with
+/// non-empty gathers.
 pub fn load_openfwi_seismic(path: &Path) -> Result<Vec<Array3>, GeodataError> {
     let arr = read_npy(path)?;
-    let [n, s, t, r] = arr.shape[..] else {
+    let [_, s, t, r] = arr.shape[..] else {
         return Err(GeodataError::CorruptCache {
             reason: format!("expected 4-d seismic archive, got shape {:?}", arr.shape),
         });
     };
+    // `parse_npy` has bounded the whole product, so this one fits, and
+    // the data holds exactly the leading dimension's count of gathers.
     let per = s * t * r;
-    (0..n)
-        .map(|i| {
-            Array3::from_vec(s, t, r, arr.data[i * per..(i + 1) * per].to_vec()).map_err(|e| {
-                GeodataError::CorruptCache {
-                    reason: format!("sample {i}: {e}"),
-                }
+    if per == 0 {
+        return Err(GeodataError::CorruptCache {
+            reason: format!("empty gathers in seismic archive of shape {:?}", arr.shape),
+        });
+    }
+    arr.data
+        .chunks_exact(per)
+        .enumerate()
+        .map(|(i, cube)| {
+            Array3::from_vec(s, t, r, cube.to_vec()).map_err(|e| GeodataError::CorruptCache {
+                reason: format!("sample {i}: {e}"),
             })
         })
         .collect()
@@ -180,12 +196,11 @@ pub fn load_openfwi_seismic(path: &Path) -> Result<Vec<Array3>, GeodataError> {
 /// # Errors
 ///
 /// Returns [`GeodataError::CorruptCache`] unless the file is 3-D or 4-D
-/// with a singleton channel.
+/// with a singleton channel and non-empty maps.
 pub fn load_openfwi_velocity(path: &Path) -> Result<Vec<Array2>, GeodataError> {
     let arr = read_npy(path)?;
-    let (n, h, w) = match arr.shape[..] {
-        [n, 1, h, w] => (n, h, w),
-        [n, h, w] => (n, h, w),
+    let (h, w) = match arr.shape[..] {
+        [_, 1, h, w] | [_, h, w] => (h, w),
         _ => {
             return Err(GeodataError::CorruptCache {
                 reason: format!("expected velocity archive, got shape {:?}", arr.shape),
@@ -193,12 +208,17 @@ pub fn load_openfwi_velocity(path: &Path) -> Result<Vec<Array2>, GeodataError> {
         }
     };
     let per = h * w;
-    (0..n)
-        .map(|i| {
-            Array2::from_vec(h, w, arr.data[i * per..(i + 1) * per].to_vec()).map_err(|e| {
-                GeodataError::CorruptCache {
-                    reason: format!("map {i}: {e}"),
-                }
+    if per == 0 {
+        return Err(GeodataError::CorruptCache {
+            reason: format!("empty maps in velocity archive of shape {:?}", arr.shape),
+        });
+    }
+    arr.data
+        .chunks_exact(per)
+        .enumerate()
+        .map(|(i, map)| {
+            Array2::from_vec(h, w, map.to_vec()).map_err(|e| GeodataError::CorruptCache {
+                reason: format!("map {i}: {e}"),
             })
         })
         .collect()
@@ -308,6 +328,56 @@ mod tests {
         assert_eq!(maps[0].shape(), (3, 3));
         assert_eq!(maps[1][(0, 0)], 1509.0);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs both OpenFWI loaders on `bytes`, written to a scratch file.
+    fn load_both(name: &str, bytes: &[u8]) -> [Result<usize, GeodataError>; 2] {
+        let dir = std::env::temp_dir().join("qugeo_npy_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = [
+            load_openfwi_seismic(&path).map(|cubes| cubes.len()),
+            load_openfwi_velocity(&path).map(|maps| maps.len()),
+        ];
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn shapes_the_bytes_do_not_back_are_corrupt_not_a_panic() {
+        // (2^62, 2, 2): the element count overflows. (2^61, 1, 2, 2): the
+        // element count fits, its f4 byte count does not.
+        for (name, shape) in [
+            ("count.npy", vec![1usize << 62, 2, 2]),
+            ("bytes.npy", vec![1usize << 61, 1, 2, 2]),
+        ] {
+            let bytes = npy_f32(&shape, &[1.0; 4]);
+            let parsed = parse_npy(&bytes);
+            assert!(
+                matches!(parsed, Err(GeodataError::CorruptCache { .. })),
+                "{shape:?}: {parsed:?}"
+            );
+            for loaded in load_both(name, &bytes) {
+                assert!(
+                    matches!(loaded, Err(GeodataError::CorruptCache { .. })),
+                    "{shape:?}: {loaded:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_sized_samples_are_corrupt() {
+        // 2^62 samples of nothing: no bytes needed, but no data either.
+        let bytes = npy_f32(&[1 << 62, 1, 0, 2], &[]);
+        assert_eq!(parse_npy(&bytes).unwrap().data.len(), 0);
+        for loaded in load_both("empty.npy", &bytes) {
+            assert!(
+                matches!(loaded, Err(GeodataError::CorruptCache { .. })),
+                "{loaded:?}"
+            );
+        }
     }
 
     #[test]

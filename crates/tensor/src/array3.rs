@@ -168,20 +168,26 @@ impl Array3 {
         self.data
     }
 
+    /// Borrows slice `i` (shape `d1 × d2`) as a flat row-major view,
+    /// without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= d0`.
+    pub fn plane(&self, i: usize) -> &[f64] {
+        assert!(i < self.d0, "slice {i} out of bounds ({})", self.d0);
+        let plane = self.d1 * self.d2;
+        &self.data[i * plane..(i + 1) * plane]
+    }
+
     /// Copies slice `i` (shape `d1 × d2`) out as an [`Array2`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= d0`.
     pub fn slice(&self, i: usize) -> Array2 {
-        assert!(i < self.d0, "slice {i} out of bounds ({})", self.d0);
-        let plane = self.d1 * self.d2;
-        Array2::from_vec(
-            self.d1,
-            self.d2,
-            self.data[i * plane..(i + 1) * plane].to_vec(),
-        )
-        .expect("internal slice length always matches")
+        Array2::from_vec(self.d1, self.d2, self.plane(i).to_vec())
+            .expect("internal slice length always matches")
     }
 
     /// Replaces slice `i` with the contents of `slice`.
@@ -307,6 +313,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
+    fn plane_out_of_bounds_panics() {
+        let _ = Array3::zeros(2, 1, 1).plane(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
     fn index_out_of_bounds_panics() {
         let a = Array3::zeros(1, 1, 1);
         let _ = a[(0, 0, 1)];
@@ -317,6 +329,9 @@ mod tests {
         let a = Array3::from_fn(3, 2, 2, |i, j, k| (i * 4 + j * 2 + k) as f64);
         let s1 = a.slice(1);
         assert_eq!(s1.as_slice(), &[4.0, 5.0, 6.0, 7.0]);
+
+        assert_eq!(a.plane(1), s1.as_slice());
+        assert_eq!(a.plane(2), &[8.0, 9.0, 10.0, 11.0]);
 
         let mut b = Array3::zeros(3, 2, 2);
         b.set_slice(1, &s1).unwrap();

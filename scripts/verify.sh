@@ -37,8 +37,8 @@ lint_gate() {
     cargo clippy --workspace --all-targets --quiet -- -D warnings -D deprecated
     # Deny missing_docs on the API crates so an undocumented public item
     # can never land.
-    echo "==> cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim (missing public-item docs denied)"
-    cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim --quiet -- -D warnings -D missing-docs
+    echo "==> cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim -p qugeo-tensor -p qugeo-metrics (missing public-item docs denied)"
+    cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim -p qugeo-tensor -p qugeo-metrics --quiet -- -D warnings -D missing-docs
     # The simulator's SIMD kernels are the crate's unsafe code: every
     # unsafe block and impl in its lib target states its invariant.
     echo "==> cargo clippy -p qugeo-qsim (undocumented unsafe blocks denied)"

@@ -465,7 +465,8 @@ impl Shardable for ThreadProbe {
 /// The spawn rule, observed from inside the units: work below
 /// `REPLICA_SPAWN_MIN_WORK` stays on the caller's thread whatever the
 /// budget; above it, 4 replicas on a budget of 2 run each step on at
-/// most 2 threads — the caller plus one worker.
+/// most 2 threads — the caller plus one worker — and on a budget of 3
+/// on all 3, the 4 units shared 2 + 1 + 1 rather than 2 + 2.
 #[test]
 fn units_run_on_worker_threads_only_within_budget_and_above_the_spawn_rule() {
     let caller = std::thread::current().id();
@@ -482,6 +483,14 @@ fn units_run_on_worker_threads_only_within_budget_and_above_the_spawn_rule() {
         assert!(threads.len() <= 2, "more threads than the budget: {threads:?}");
         assert!(threads.contains(&caller), "the coordinator runs a share itself");
         assert!(threads.len() == 2, "no unit ran on a worker thread: {threads:?}");
+    }
+
+    let three = ThreadProbe::new(REPLICA_SPAWN_MIN_WORK, false);
+    let steps = three.run(3).unwrap();
+    assert_eq!(steps.len(), 2);
+    for threads in &steps {
+        assert!(threads.contains(&caller), "the coordinator runs a share itself");
+        assert_eq!(threads.len(), 3, "a budget of 3 left a thread idle: {threads:?}");
     }
 }
 
