@@ -78,10 +78,10 @@ use crate::QuGeoError;
 /// work, so each worker's share is about this much or more.
 ///
 /// Measured on a 2-vCPU AVX-512 host: a scoped-thread spawn plus join
-/// costs 15–30 µs; a unit of the `train_scaling --smoke` shape (6 qubits
-/// × 2 blocks, one sample, ~1 k amplitude-ops) takes ~7 µs; a paper
-/// Q-M-LY mini-batch-16 unit at micro-batch 8 (8 qubits × 12 blocks,
-/// ~200 k amplitude-ops) takes ~0.5 ms, ~2.5 ns per amplitude-op. At
+/// costs 15–30 µs; a one-sample unit of a 6-qubit × 2-block ansatz
+/// (~1 k amplitude-ops) takes ~7 µs; a paper Q-M-LY mini-batch-16 unit
+/// at micro-batch 8 (8 qubits × 12 blocks, ~200 k amplitude-ops) takes
+/// ~0.5 ms, ~2.5 ns per amplitude-op. At
 /// `2^15` amplitude-ops (~80 µs at that rate) a spawn costs at most about
 /// a third of the work it moves; less work runs faster inline.
 pub const REPLICA_SPAWN_MIN_WORK: usize = 1 << 15;

@@ -41,22 +41,6 @@ pub fn ascii_map(map: &Array2) -> String {
     out
 }
 
-/// Renders truth and prediction side by side with a gutter, labelling
-/// both, for the figure-style visual comparisons.
-///
-/// The two maps must have the same number of rows; extra rows of the
-/// taller map are omitted.
-pub fn side_by_side(truth: &Array2, prediction: &Array2) -> String {
-    let left = ascii_map(truth);
-    let right = ascii_map(prediction);
-    let lw = truth.cols().max("truth".len());
-    let mut out = format!("{:<lw$}   {}\n", "truth", "prediction");
-    for (l, r) in left.lines().zip(right.lines()) {
-        out.push_str(&format!("{l:<lw$}   {r}\n"));
-    }
-    out
-}
-
 /// Renders a vertical profile as a horizontal bar chart, one row per
 /// depth cell.
 pub fn profile_bars(profile: &[f64], width: usize) -> String {
@@ -96,16 +80,6 @@ mod tests {
         let map = Array2::filled(2, 3, 5.0);
         let art = ascii_map(&map);
         assert!(art.lines().all(|l| l == "   "));
-    }
-
-    #[test]
-    fn side_by_side_aligns_rows() {
-        let a = Array2::from_fn(4, 6, |r, _| r as f64);
-        let b = a.map(|v| v + 1.0);
-        let s = side_by_side(&a, &b);
-        // Header + 4 rows.
-        assert_eq!(s.lines().count(), 5);
-        assert!(s.starts_with("truth"));
     }
 
     #[test]

@@ -62,11 +62,7 @@ impl CurvedModel {
     pub fn curvature(&self) -> usize {
         self.interface_depths
             .iter()
-            .map(|d| {
-                let lo = *d.iter().min().expect("non-empty");
-                let hi = *d.iter().max().expect("non-empty");
-                hi - lo
-            })
+            .filter_map(|d| Some(d.iter().max()? - d.iter().min()?))
             .max()
             .unwrap_or(0)
     }

@@ -138,6 +138,10 @@ impl Dataset {
             .map(|n| n.get())
             .unwrap_or(4);
         let per_worker = items.len().div_ceil(workers).max(1);
+        #[allow(
+            clippy::expect_used,
+            reason = "`model_shot` returns every input error, so a worker panic is a bug in it"
+        )]
         let outcomes: Vec<Result<(), WavesimError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .chunks_mut(per_worker)

@@ -23,6 +23,18 @@ pub struct VelocityModel {
     layer_velocities: Vec<f64>,
 }
 
+/// Rejects an `nz × nx` map of `f64` that would not fit in `isize::MAX`
+/// bytes, the largest allocation Rust can make.
+fn check_map_fits(nz: usize, nx: usize) -> Result<(), GeodataError> {
+    let max_cells = isize::MAX as usize / std::mem::size_of::<f64>();
+    if nz.checked_mul(nx).is_none_or(|cells| cells > max_cells) {
+        return Err(GeodataError::InvalidConfig {
+            reason: format!("a {nz} x {nx} velocity map exceeds the address space"),
+        });
+    }
+    Ok(())
+}
+
 impl VelocityModel {
     /// Builds a model from explicit layer tops and velocities.
     ///
@@ -53,22 +65,15 @@ impl VelocityModel {
                 });
             }
         }
-        if *layer_tops.last().expect("non-empty") >= nz {
+        if layer_tops.last().is_some_and(|&top| top >= nz) {
             return Err(GeodataError::InvalidConfig {
                 reason: "layer top beyond model depth".into(),
             });
         }
-        let max_cells = isize::MAX as usize / std::mem::size_of::<f64>();
-        if nz.checked_mul(nx).is_none_or(|cells| cells > max_cells) {
-            return Err(GeodataError::InvalidConfig {
-                reason: format!("a {nz} x {nx} velocity map exceeds the address space"),
-            });
-        }
+        check_map_fits(nz, nx)?;
+        // The first top is 0, so every depth lies in some layer.
         let map = Array2::from_fn(nz, nx, |z, _| {
-            let layer = layer_tops
-                .iter()
-                .rposition(|&top| z >= top)
-                .expect("first top is 0");
+            let layer = layer_tops.iter().rposition(|&top| z >= top).unwrap_or(0);
             layer_velocities[layer]
         });
         Ok(Self {
@@ -162,7 +167,8 @@ impl FlatLayerGenerator {
     /// # Errors
     ///
     /// Returns [`GeodataError::InvalidConfig`] if the range is empty,
-    /// starts below 1, or `nz` cannot fit `max_layers` distinct tops.
+    /// starts below 1, `nz` cannot fit `max_layers` distinct tops, or an
+    /// `nz × nx` map of `f64` would not fit in `isize::MAX` bytes.
     pub fn with_layer_range(
         nz: usize,
         nx: usize,
@@ -176,6 +182,7 @@ impl FlatLayerGenerator {
                 ),
             });
         }
+        check_map_fits(nz, nx)?;
         Ok(Self {
             nz,
             nx,
@@ -196,6 +203,10 @@ impl FlatLayerGenerator {
 
     /// Draws the model for `seed`. The same seed always produces the same
     /// model.
+    #[allow(
+        clippy::expect_used,
+        reason = "the constructor checked the map size; the tops drawn are strictly increasing from 0 and below nz"
+    )]
     pub fn sample(&self, seed: u64) -> VelocityModel {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let num_layers = rng.gen_range(self.min_layers..=self.max_layers);
@@ -267,6 +278,9 @@ mod tests {
         assert!(FlatLayerGenerator::with_layer_range(70, 70, 3, 2).is_err());
         assert!(FlatLayerGenerator::with_layer_range(6, 70, 2, 5).is_err());
         assert!(FlatLayerGenerator::with_layer_range(70, 70, 0, 5).is_err());
+        // A map beyond the address space is a config error, not a panic
+        // on the first `sample`.
+        assert!(FlatLayerGenerator::new(1 << 62, 4).is_err());
     }
 
     #[test]

@@ -41,40 +41,6 @@ pub fn mse(a: &Array2, b: &Array2) -> Result<f64, ShapeError> {
     Ok(sum / a.len() as f64)
 }
 
-/// Mean absolute error between two same-shape arrays.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the shapes differ or the arrays are empty.
-pub fn mae(a: &Array2, b: &Array2) -> Result<f64, ShapeError> {
-    if a.shape() != b.shape() || a.is_empty() {
-        return Err(ShapeError::new(
-            vec![a.rows(), a.cols()],
-            vec![b.rows(), b.cols()],
-            "mae",
-        ));
-    }
-    let sum: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum();
-    Ok(sum / a.len() as f64)
-}
-
-/// Peak signal-to-noise ratio in dB, using the joint dynamic range of the
-/// two images. Identical images give `f64::INFINITY`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the shapes differ or the arrays are empty.
-pub fn psnr(a: &Array2, b: &Array2) -> Result<f64, ShapeError> {
-    let err = mse(a, b)?;
-    if err == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    let hi = a.max().max(b.max());
-    let lo = a.min().min(b.min());
-    let range = (hi - lo).max(f64::MIN_POSITIVE);
-    Ok(10.0 * ((range * range) / err).log10())
-}
-
 /// Options for [`ssim_with`]: window size and stabiliser constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsimOptions {
@@ -224,7 +190,6 @@ mod tests {
         let a = Array2::filled(2, 2, 1.0);
         let b = Array2::filled(2, 2, 3.0);
         assert_eq!(mse(&a, &b).unwrap(), 4.0);
-        assert_eq!(mae(&a, &b).unwrap(), 2.0);
     }
 
     #[test]
@@ -232,7 +197,6 @@ mod tests {
         let a = Array2::zeros(2, 2);
         let b = Array2::zeros(2, 3);
         assert!(mse(&a, &b).is_err());
-        assert!(mae(&a, &b).is_err());
         assert!(ssim(&a, &b).is_err());
         assert!(mse(&Array2::zeros(0, 0), &Array2::zeros(0, 0)).is_err());
     }
@@ -306,20 +270,6 @@ mod tests {
         )
         .unwrap();
         assert!((auto - fixed).abs() < 1e-9);
-    }
-
-    #[test]
-    fn psnr_identical_is_infinite() {
-        let a = gradient_image();
-        assert_eq!(psnr(&a, &a).unwrap(), f64::INFINITY);
-    }
-
-    #[test]
-    fn psnr_decreases_with_error() {
-        let a = gradient_image();
-        let small = a.map(|v| v + 0.1);
-        let large = a.map(|v| v + 5.0);
-        assert!(psnr(&a, &small).unwrap() > psnr(&a, &large).unwrap());
     }
 
     #[test]

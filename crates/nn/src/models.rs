@@ -396,6 +396,10 @@ impl Model for CnnCompressor {
 
 /// Splits a flat `[conv1 | conv2 | fc]` vector whose total length the
 /// caller has checked, and writes each part into its layer.
+#[allow(
+    clippy::expect_used,
+    reason = "each part has its layer's own parameter count, which `set_params` accepts"
+)]
 fn set_layer_params(conv1: &mut Conv2d, conv2: &mut Conv2d, fc: &mut Linear, params: &[f64]) {
     let (c1, rest) = params.split_at(conv1.num_params());
     let (c2, f) = rest.split_at(conv2.num_params());

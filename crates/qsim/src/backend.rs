@@ -331,8 +331,7 @@ impl QuantumBackend for StatevectorBackend {
 /// masked full-scan loops, one member at a time, single-threaded. It
 /// exists for differential testing — any divergence from
 /// [`StatevectorBackend`] beyond rounding noise indicts the branch-free
-/// kernels or the chunked parallel split, not the model — and as the
-/// honest baseline in throughput benches.
+/// kernels or the chunked parallel split, not the model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveBackend {
     config: BackendConfig,

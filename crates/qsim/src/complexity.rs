@@ -38,12 +38,6 @@ pub fn qubit_overhead(groups: usize, batch: usize) -> usize {
     groups * log2_ceil(batch)
 }
 
-/// Extra encoding depth per group: `⌈log₂B⌉` (linear-depth amplitude
-/// encoding over `log₂B` more qubits).
-pub fn depth_overhead(batch: usize) -> usize {
-    log2_ceil(batch)
-}
-
 /// Time–space complexity of the batched execution,
 /// `G · (1 + ⌈log₂B⌉)² · X`, in the same (arbitrary) units as `base_x`.
 ///
@@ -92,7 +86,6 @@ mod tests {
     #[test]
     fn overhead_scales_with_groups() {
         assert_eq!(qubit_overhead(4, 8), 12);
-        assert_eq!(depth_overhead(8), 3);
     }
 
     #[test]

@@ -277,14 +277,6 @@ pub fn encode_batched(samples: &[Vec<f64>]) -> Result<BatchedState, QsimError> {
     })
 }
 
-/// Depth estimate of an amplitude-encoding circuit on `n` qubits under the
-/// ST-Encoder's linear-depth construction (the paper cites [Li et al.,
-/// QCE'23] for circuit length growing linearly with qubit count).
-pub fn encoding_depth_estimate(num_qubits: usize) -> usize {
-    // Linear model with the constant reported for ST-encoders.
-    8 * num_qubits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,13 +396,5 @@ mod tests {
         let b = encode_batched(&[vec![1.0, 1.0]]).unwrap();
         assert_eq!(b.batch_qubits(), 0);
         assert_eq!(b.batch_count(), 1);
-    }
-
-    #[test]
-    fn depth_estimate_is_linear() {
-        assert_eq!(
-            encoding_depth_estimate(16) - encoding_depth_estimate(8),
-            encoding_depth_estimate(8) - encoding_depth_estimate(0)
-        );
     }
 }

@@ -658,11 +658,10 @@ impl CompiledCircuit {
     /// gate-major whole-array sweeps (which parallelise within a gate)
     /// win instead.
     ///
-    /// Measured crossover (Xeon @2.1 GHz, AVX-512, `kernel_throughput`,
-    /// 2026-08): at 10 qubits × batch 16 the batched tile sweep runs the
-    /// paper ansatz 1.46× faster than 16 per-sample `run` calls, despite
-    /// the transpose in/out of member-major layout (~100 µs of the
-    /// ~600 µs sweep). The edge comes from the tile's unit-stride lanes
+    /// Measured crossover (Xeon @2.1 GHz, AVX-512, 2026-08): at 10 qubits
+    /// × batch 16 the batched tile sweep runs the paper ansatz 1.46×
+    /// faster than 16 per-sample `run` calls, despite the transpose in/out
+    /// of member-major layout (~100 µs of the ~600 µs sweep). The edge comes from the tile's unit-stride lanes
     /// plus L1 chunk-blocking (`tile::Lane::CHUNK_AMPS`), not from
     /// threading — 16 × 2^10 amplitudes stays under the serial threshold
     /// [`crate::kernels::PARALLEL_MIN_AMPS`]. Members of `2^14` amps put

@@ -79,13 +79,12 @@ pub fn set_simd_enabled(enabled: bool) {
 /// amplitudes ≈ 512 KiB of complex data — below that, spawn overhead
 /// dominates any speedup.
 ///
-/// Measured (Xeon @2.1 GHz, `kernel_throughput` 10q × 12 blocks ×
-/// batch 16, 2026-08): the whole benchmark batch is 16 × 2^10 = 2^14
-/// amplitudes, so it takes the serial branch — and on that branch the
-/// AVX-512 tile sweep already delivers 4.7× over scalar per-sample
-/// execution. Sweeps this size are FMA-port-bound, not memory-bound;
-/// scoped-thread spawn/join (tens of µs) would eat most of a ~600 µs
-/// sweep. The threshold only pays off once a single member (or the
+/// Measured (Xeon @2.1 GHz, 10 qubits × 12 blocks × batch 16,
+/// 2026-08): that whole batch is 16 × 2^10 = 2^14 amplitudes, so it
+/// takes the serial branch — and on that branch the AVX-512 tile sweep
+/// already delivers 4.7× over scalar per-sample execution. Sweeps this
+/// size are FMA-port-bound, not memory-bound; scoped-thread spawn/join
+/// (tens of µs) would eat most of a ~600 µs sweep. The threshold only pays off once a single member (or the
 /// flattened batch) is ≥ 512 KiB and a gate sweep streams from L2/LLC.
 pub const PARALLEL_MIN_AMPS: usize = 1 << 15;
 

@@ -25,9 +25,10 @@
 //! two-qubit channel on each of its two qubits. The paper ansatz has 192
 //! source gates but 97 fused ops under plain compilation
 //! ([`Circuit::compile`](crate::Circuit::compile)) and 96 with the
-//! optimizer passes — the `BENCH_qsim.json` rows
-//! `fused_ops_paper_ansatz/passes_off` and `…/passes_on` — so it takes
-//! about half as many noise insertions as a per-gate model would.
+//! optimizer passes (pinned by the `fusion` test
+//! `fusion_halves_op_count_on_u3_cu3_blocks` and the `passes` test
+//! `widen_pairs_takes_paper_ansatz_below_97`), so it takes about half as
+//! many noise insertions as a per-gate model would.
 //!
 //! Each noisy run is one Monte-Carlo trajectory per batch member;
 //! averaging over trajectories means replicating the input across

@@ -84,29 +84,6 @@ impl DiagonalObservable {
         Ok(Self { num_qubits, diag })
     }
 
-    /// Projector onto the low-`k`-qubit pattern `pattern` (marginal
-    /// probability observable): weight 1 on every basis state whose low
-    /// `k` bits equal `pattern`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::InvalidStateLength`] if `k > num_qubits` or
-    /// `pattern >= 2^k`.
-    pub fn low_bits_projector(
-        num_qubits: usize,
-        k: usize,
-        pattern: usize,
-    ) -> Result<Self, QsimError> {
-        if k > num_qubits || pattern >= (1usize << k) {
-            return Err(QsimError::InvalidStateLength { len: pattern });
-        }
-        let mask = (1usize << k) - 1;
-        let diag = (0..1usize << num_qubits)
-            .map(|i| if i & mask == pattern { 1.0 } else { 0.0 })
-            .collect();
-        Ok(Self { num_qubits, diag })
-    }
-
     /// Weighted sum `Σ wᵢ Oᵢ` of same-size diagonal observables.
     ///
     /// # Errors
@@ -212,18 +189,6 @@ mod tests {
             assert!((p.expectation(&s) - s.probability(i)).abs() < EPS);
         }
         assert!(DiagonalObservable::projector(2, 4).is_err());
-    }
-
-    #[test]
-    fn low_bits_projector_matches_marginal() {
-        let s = State::from_real_normalized(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).unwrap();
-        let marg = s.marginal_low(2);
-        for (pat, m) in marg.iter().enumerate() {
-            let p = DiagonalObservable::low_bits_projector(3, 2, pat).unwrap();
-            assert!((p.expectation(&s) - m).abs() < EPS);
-        }
-        assert!(DiagonalObservable::low_bits_projector(3, 4, 0).is_err());
-        assert!(DiagonalObservable::low_bits_projector(3, 2, 4).is_err());
     }
 
     #[test]

@@ -237,19 +237,6 @@ impl State {
         crate::kernels::apply_one(&mut self.amps, gate, q, crate::kernels::simulation_threads());
     }
 
-    /// Applies a fused two-qubit gate (4×4 unitary) to the qubit pair
-    /// `(a, b)` with `a < b`, using the [`crate::Matrix4`] basis
-    /// convention `index = bit_a + 2·bit_b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a qubit is out of range or `a >= b`.
-    pub fn apply_two_qubit(&mut self, gate: &crate::Matrix4, a: usize, b: usize) {
-        assert!(a < b, "pair must be ordered: {a} >= {b}");
-        assert!(b < self.num_qubits, "qubit {b} out of range");
-        crate::kernels::apply_two(&mut self.amps, gate, a, b, crate::kernels::simulation_threads());
-    }
-
     /// Applies a controlled single-qubit gate in place (gate acts on
     /// `target` where `control` is 1).
     ///

@@ -11,7 +11,8 @@
 //!   [`adjoint_gradient`] at 1e-10, across odd and even batch sizes,
 //! * the norm/probability/expectation reductions vs inline scalar sums
 //!   at 1e-12,
-//! * an explicit scalar-vs-SIMD A/B via [`set_simd_enabled`] at 1e-12.
+//! * an explicit scalar-vs-SIMD A/B via [`set_simd_enabled`] at 1e-12, on
+//!   forward amplitudes, values and gradients.
 //!
 //! Everything here also runs under `QUGEO_SIMD=off` (the verify gate does
 //! exactly that), where it degenerates to scalar-vs-reference.
@@ -170,11 +171,12 @@ proptest! {
     }
 }
 
-/// In-process A/B: the same forward + gradient computation with the SIMD
-/// tier pinned off and back on must agree at 1e-12. Runs as a single test
-/// so the global tier switch has one owner; the other tests in this
-/// binary are tolerance-based against references and are unaffected by a
-/// concurrent tier flip.
+/// In-process A/B: the same forward sweep and adjoint gradients with the
+/// SIMD tier pinned off and back on must agree at 1e-12, at batch 6 (one
+/// partial tile group) and batch 16 (two full 8-wide tile groups). Runs
+/// as a single test so the global tier switch has one owner; the other
+/// tests in this binary are tolerance-based against references and are
+/// unaffected by a concurrent tier flip.
 #[test]
 fn scalar_and_simd_tiers_agree() {
     let circuit = u3_cu3_ansatz(AnsatzConfig {
@@ -183,22 +185,49 @@ fn scalar_and_simd_tiers_agree() {
         entangle: EntangleOrder::Ring,
     })
     .unwrap();
-    let params: Vec<f64> = (0..circuit.num_slots()).map(|i| (0.2 + 0.07 * i as f64).cos()).collect();
+    let params: Vec<f64> = (0..circuit.num_slots())
+        .map(|i| (0.2 + 0.07 * i as f64).cos())
+        .collect();
+    let compiled = circuit.compile(&params).unwrap();
     let obs = DiagonalObservable::z(5, 2).unwrap();
-    let inputs = sample_batch(5, 6, 0xA5A5);
 
-    let run = || adjoint_gradient_batch(&circuit, &params, &inputs, &obs).unwrap();
-    set_simd_enabled(false);
-    let (scalar_values, scalar_grads) = run();
-    set_simd_enabled(true);
-    let (simd_values, simd_grads) = run();
+    for batch in [6, 16] {
+        let inputs = sample_batch(5, batch, 0xA5A5);
+        let run = || {
+            let mut forward = inputs.clone();
+            forward.apply_compiled(&compiled).unwrap();
+            let (values, grads) = adjoint_gradient_batch(&circuit, &params, &inputs, &obs).unwrap();
+            (forward, values, grads)
+        };
+        set_simd_enabled(false);
+        let (scalar_forward, scalar_values, scalar_grads) = run();
+        set_simd_enabled(true);
+        let (simd_forward, simd_values, simd_grads) = run();
 
-    for (b, (s, v)) in scalar_values.iter().zip(&simd_values).enumerate() {
-        assert!((s - v).abs() < 1e-12, "member {b} value: {s} vs {v}");
-    }
-    for (b, (sg, vg)) in scalar_grads.iter().zip(&simd_grads).enumerate() {
-        for (slot, (s, v)) in sg.iter().zip(vg).enumerate() {
-            assert!((s - v).abs() < 1e-12, "member {b} slot {slot}: {s} vs {v}");
+        for (i, (s, v)) in scalar_forward
+            .amps()
+            .iter()
+            .zip(simd_forward.amps())
+            .enumerate()
+        {
+            assert!(
+                (*s - *v).norm() < 1e-12,
+                "batch {batch} amplitude {i}: {s:?} vs {v:?}"
+            );
+        }
+        for (b, (s, v)) in scalar_values.iter().zip(&simd_values).enumerate() {
+            assert!(
+                (s - v).abs() < 1e-12,
+                "batch {batch} member {b} value: {s} vs {v}"
+            );
+        }
+        for (b, (sg, vg)) in scalar_grads.iter().zip(&simd_grads).enumerate() {
+            for (slot, (s, v)) in sg.iter().zip(vg).enumerate() {
+                assert!(
+                    (s - v).abs() < 1e-12,
+                    "batch {batch} member {b} slot {slot}: {s} vs {v}"
+                );
+            }
         }
     }
 }

@@ -437,6 +437,10 @@ impl Add<&Array2> for &Array2 {
     /// # Panics
     ///
     /// Panics if shapes differ; use [`Array2::zip_with`] for a fallible form.
+    #[allow(
+        clippy::expect_used,
+        reason = "`Add` has no error channel: matching shapes are the documented contract"
+    )]
     fn add(self, rhs: &Array2) -> Array2 {
         self.zip_with(rhs, |a, b| a + b)
             .expect("Array2 addition requires matching shapes")
@@ -449,6 +453,10 @@ impl Sub<&Array2> for &Array2 {
     /// # Panics
     ///
     /// Panics if shapes differ; use [`Array2::zip_with`] for a fallible form.
+    #[allow(
+        clippy::expect_used,
+        reason = "`Sub` has no error channel: matching shapes are the documented contract"
+    )]
     fn sub(self, rhs: &Array2) -> Array2 {
         self.zip_with(rhs, |a, b| a - b)
             .expect("Array2 subtraction requires matching shapes")

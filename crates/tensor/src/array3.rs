@@ -185,6 +185,7 @@ impl Array3 {
     /// # Panics
     ///
     /// Panics if `i >= d0`.
+    #[allow(clippy::expect_used, reason = "a plane holds exactly d1 × d2 values")]
     pub fn slice(&self, i: usize) -> Array2 {
         Array2::from_vec(self.d1, self.d2, self.plane(i).to_vec())
             .expect("internal slice length always matches")

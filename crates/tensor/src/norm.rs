@@ -80,25 +80,6 @@ pub fn standardized(v: &[f64]) -> Vec<f64> {
     }
 }
 
-/// Affinely maps `v` from `[from_lo, from_hi]` onto `[to_lo, to_hi]`.
-///
-/// Used to map decoder outputs (probabilities in `[0, 1]` or expectations
-/// in `[-1, 1]`) onto physical velocity ranges.
-///
-/// # Panics
-///
-/// Panics if `from_hi == from_lo`.
-pub fn affine_rescaled(v: &[f64], from: (f64, f64), to: (f64, f64)) -> Vec<f64> {
-    let (from_lo, from_hi) = from;
-    let (to_lo, to_hi) = to;
-    assert!(
-        from_hi != from_lo,
-        "affine_rescaled source interval must be non-degenerate"
-    );
-    let scale = (to_hi - to_lo) / (from_hi - from_lo);
-    v.iter().map(|x| to_lo + (x - from_lo) * scale).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,18 +129,6 @@ mod tests {
     fn standardized_degenerate_cases() {
         assert!(standardized(&[]).is_empty());
         assert_eq!(standardized(&[3.0, 3.0]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn affine_rescale_endpoints() {
-        let out = affine_rescaled(&[-1.0, 0.0, 1.0], (-1.0, 1.0), (1500.0, 4500.0));
-        assert_eq!(out, vec![1500.0, 3000.0, 4500.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-degenerate")]
-    fn affine_rescale_degenerate_panics() {
-        let _ = affine_rescaled(&[0.0], (1.0, 1.0), (0.0, 1.0));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Resampling of 2-D and 3-D arrays.
+//! Resampling of 2-D arrays.
 //!
 //! The QuGeo paper's baseline data-scaling approach ("D-Sample") is plain
 //! nearest-neighbour resampling of the raw seismic waveform and velocity
 //! map. This module provides that baseline plus bilinear resampling used by
 //! the physics-guided pipeline when downscaling velocity maps.
 
-use crate::{Array2, Array3};
+use crate::Array2;
 
 /// Nearest-neighbour resampling of a 2-D array to a new shape.
 ///
@@ -70,62 +70,6 @@ pub fn bilinear2(input: &Array2, new_rows: usize, new_cols: usize) -> Array2 {
     })
 }
 
-/// Nearest-neighbour resampling of a 3-D array along the last two axes,
-/// keeping the leading axis (e.g. the seismic source axis) unchanged.
-///
-/// # Panics
-///
-/// Panics if the target dimensions are zero or `input` is empty.
-pub fn nearest3_tail(input: &Array3, new_d1: usize, new_d2: usize) -> Array3 {
-    assert!(
-        new_d1 > 0 && new_d2 > 0 && !input.is_empty(),
-        "nearest3_tail requires non-empty input and output"
-    );
-    let (d0, d1, d2) = input.shape();
-    Array3::from_fn(d0, new_d1, new_d2, |i, j, k| {
-        let sj = src_index(j, new_d1, d1);
-        let sk = src_index(k, new_d2, d2);
-        input[(i, sj, sk)]
-    })
-}
-
-/// Nearest-neighbour resampling of a 1-D signal.
-///
-/// # Panics
-///
-/// Panics if `new_len == 0` or `input` is empty.
-pub fn nearest1(input: &[f64], new_len: usize) -> Vec<f64> {
-    assert!(
-        new_len > 0 && !input.is_empty(),
-        "nearest1 requires non-empty input and output"
-    );
-    (0..new_len)
-        .map(|i| input[src_index(i, new_len, input.len())])
-        .collect()
-}
-
-/// Linear-interpolation resampling of a 1-D signal.
-///
-/// # Panics
-///
-/// Panics if `new_len == 0` or `input` is empty.
-pub fn linear1(input: &[f64], new_len: usize) -> Vec<f64> {
-    assert!(
-        new_len > 0 && !input.is_empty(),
-        "linear1 requires non-empty input and output"
-    );
-    let n = input.len();
-    (0..new_len)
-        .map(|i| {
-            let f = src_coord(i, new_len, n);
-            let i0 = f.floor() as usize;
-            let i1 = (i0 + 1).min(n - 1);
-            let t = f - i0 as f64;
-            input[i0] * (1.0 - t) + input[i1] * t
-        })
-        .collect()
-}
-
 /// Maps output index `i` of `new_len` onto a source index of `old_len`
 /// using pixel-centre alignment (the scikit-image convention used by
 /// OpenFWI preprocessing).
@@ -145,42 +89,6 @@ fn src_coord(i: usize, new_len: usize, old_len: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nearest1_identity() {
-        let v = vec![1.0, 2.0, 3.0];
-        assert_eq!(nearest1(&v, 3), v);
-    }
-
-    #[test]
-    fn nearest1_downsample_picks_members() {
-        let v: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let d = nearest1(&v, 5);
-        assert_eq!(d.len(), 5);
-        for x in &d {
-            assert!(v.contains(x), "{x} not an input sample");
-        }
-        // Must be non-decreasing when input is.
-        assert!(d.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn nearest1_upsample_repeats() {
-        let v = vec![1.0, 2.0];
-        let u = nearest1(&v, 4);
-        assert_eq!(u, vec![1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn linear1_interpolates_midpoints() {
-        let v = vec![0.0, 1.0];
-        let u = linear1(&v, 4);
-        // Pixel-centre alignment: coordinates -0.25, 0.25, 0.75, 1.25 clamped.
-        assert_eq!(u.len(), 4);
-        assert!(u.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(u[0], 0.0);
-        assert_eq!(u[3], 1.0);
-    }
 
     #[test]
     fn nearest2_identity() {
@@ -221,28 +129,14 @@ mod tests {
     }
 
     #[test]
-    fn nearest3_tail_keeps_leading_axis() {
-        let cube = Array3::from_fn(2, 4, 4, |i, j, k| (i * 100 + j * 10 + k) as f64);
-        let d = nearest3_tail(&cube, 2, 2);
-        assert_eq!(d.shape(), (2, 2, 2));
-        // Slice 0 values come only from slice 0 of the input.
-        for j in 0..2 {
-            for k in 0..2 {
-                assert!(d[(0, j, k)] < 100.0);
-                assert!(d[(1, j, k)] >= 100.0);
-            }
-        }
-    }
-
-    #[test]
     fn single_output_uses_centre() {
-        let v = vec![1.0, 2.0, 3.0];
-        assert_eq!(nearest1(&v, 1), vec![2.0]);
+        let a = Array2::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
+        assert_eq!(nearest2(&a, 1, 1)[(0, 0)], 4.0);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn zero_target_panics() {
-        let _ = nearest1(&[1.0], 0);
+        let _ = nearest2(&Array2::filled(1, 1, 1.0), 0, 1);
     }
 }

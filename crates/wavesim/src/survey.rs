@@ -76,6 +76,7 @@ impl Survey {
 
     /// The OpenFWI FlatVelA acquisition: 5 surface sources, 70 surface
     /// receivers on a 70-cell-wide model.
+    #[allow(clippy::expect_used, reason = "constant, non-zero counts and width")]
     pub fn openfwi_default() -> Self {
         Self::surface(70, 5, 70, 1).expect("static layout is valid")
     }

@@ -353,7 +353,7 @@ fn threading_policy_and_replica_surplus_never_change_results() {
             SchedKind::Cosine,
             Some((1, 1, 1)),
         );
-        for (replicas, budget) in [(1, 4), (3, 1), (3, 2), (5, 4), (8, 8)] {
+        for (replicas, budget) in [(1, 4), (3, 1), (3, 2), (4, 4), (5, 4), (8, 8)] {
             let run = fit_with(
                 &model,
                 &train,
