@@ -48,5 +48,5 @@ pub use boundary::SpongeBoundary;
 pub use error::WavesimError;
 pub use grid::Grid;
 pub use ricker::RickerWavelet;
-pub use solver::{SpaceOrder, Solver, WavefieldSnapshot};
+pub use solver::{Solver, SpaceOrder, WavefieldSnapshot};
 pub use survey::{model_shot, model_shots, Survey};

@@ -52,9 +52,7 @@ impl RickerWavelet {
         }
         if dt * peak_frequency > 0.1 {
             return Err(WavesimError::InvalidWavelet {
-                reason: format!(
-                    "dt {dt} too coarse for {peak_frequency} Hz (need dt*f <= 0.1)"
-                ),
+                reason: format!("dt {dt} too coarse for {peak_frequency} Hz (need dt*f <= 0.1)"),
             });
         }
         Ok(Self {
@@ -140,12 +138,7 @@ mod tests {
         let hi = RickerWavelet::new(15.0, 0.001).unwrap();
         let lo = RickerWavelet::new(8.0, 0.001).unwrap();
         // Width proxy: count samples above half the peak.
-        let count = |w: &RickerWavelet| {
-            w.time_series(2000)
-                .iter()
-                .filter(|&&v| v > 0.5)
-                .count()
-        };
+        let count = |w: &RickerWavelet| w.time_series(2000).iter().filter(|&&v| v > 0.5).count();
         assert!(
             count(&lo) > count(&hi),
             "8 Hz wavelet should be wider than 15 Hz"

@@ -50,8 +50,7 @@ impl SpaceOrder {
     /// `√(4 / (2 · Σ|aₖ|))` (the centre weight counted once per axis).
     pub fn cfl_limit(&self) -> f64 {
         let coeffs = self.coefficients();
-        let sum_abs: f64 =
-            coeffs[0].abs() + 2.0 * coeffs[1..].iter().map(|c| c.abs()).sum::<f64>();
+        let sum_abs: f64 = coeffs[0].abs() + 2.0 * coeffs[1..].iter().map(|c| c.abs()).sum::<f64>();
         (4.0 / (2.0 * sum_abs)).sqrt()
     }
 }
@@ -174,13 +173,9 @@ impl Solver {
         let dt2 = grid.dt() * grid.dt();
         let mut vel2dt2 = vec![0.0; nx_pad * nz_pad];
         for iz in 0..nz_pad {
-            let src_z = iz
-                .saturating_sub(off_z)
-                .min(grid.nz().saturating_sub(1));
+            let src_z = iz.saturating_sub(off_z).min(grid.nz().saturating_sub(1));
             for ix in 0..nx_pad {
-                let src_x = ix
-                    .saturating_sub(off_x)
-                    .min(grid.nx().saturating_sub(1));
+                let src_x = ix.saturating_sub(off_x).min(grid.nx().saturating_sub(1));
                 let c = velocity[(src_z, src_x)];
                 vel2dt2[iz * nx_pad + ix] = c * c * dt2;
             }
@@ -299,8 +294,7 @@ impl Solver {
         let mut p_cur = vec![0.0; n];
         let mut p_next = vec![0.0; n];
 
-        let src_idx =
-            (source.1 + self.off_z) * self.nx_pad + (source.0 + self.off_x);
+        let src_idx = (source.1 + self.off_z) * self.nx_pad + (source.0 + self.off_x);
         let rec_idx: Vec<usize> = receivers
             .iter()
             .map(|&(ix, iz)| (iz + self.off_z) * self.nx_pad + (ix + self.off_x))
@@ -465,10 +459,22 @@ mod tests {
     fn rejects_bad_velocity() {
         let grid = Grid::new(10, 10, 10.0, 0.001, 10).unwrap();
         let wrong_shape = homogeneous(5, 10, 2000.0);
-        assert!(Solver::new(&wrong_shape, &grid, SpaceOrder::Order2, SpongeBoundary::default()).is_err());
+        assert!(Solver::new(
+            &wrong_shape,
+            &grid,
+            SpaceOrder::Order2,
+            SpongeBoundary::default()
+        )
+        .is_err());
         let mut negative = homogeneous(10, 10, 2000.0);
         negative[(3, 3)] = -100.0;
-        assert!(Solver::new(&negative, &grid, SpaceOrder::Order2, SpongeBoundary::default()).is_err());
+        assert!(Solver::new(
+            &negative,
+            &grid,
+            SpaceOrder::Order2,
+            SpongeBoundary::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -478,7 +484,12 @@ mod tests {
         let vel = homogeneous(20, 20, 2000.0);
         let grid = Grid::new(20, 20, 10.0, 0.001, 10).unwrap();
         let build = |strength| {
-            Solver::new(&vel, &grid, SpaceOrder::Order4, SpongeBoundary::new(20, strength))
+            Solver::new(
+                &vel,
+                &grid,
+                SpaceOrder::Order4,
+                SpongeBoundary::new(20, strength),
+            )
         };
         for strength in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(matches!(
@@ -559,7 +570,9 @@ mod tests {
         let solver =
             Solver::new(&vel, &grid, SpaceOrder::Order4, SpongeBoundary::default()).unwrap();
         let w = RickerWavelet::new(15.0, grid.dt()).unwrap();
-        let gather = solver.run_shot((10, 20), &w, &[(20, 20), (50, 20)]).unwrap();
+        let gather = solver
+            .run_shot((10, 20), &w, &[(20, 20), (50, 20)])
+            .unwrap();
 
         let first_arrival = |col: usize| {
             let trace = gather.column(col);
@@ -611,7 +624,10 @@ mod tests {
         let tb = b.column(0);
         let peak = ta.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (x, y) in ta.iter().zip(&tb) {
-            assert!((x - y).abs() < 1e-6 * peak.max(1e-30), "reciprocity violated");
+            assert!(
+                (x - y).abs() < 1e-6 * peak.max(1e-30),
+                "reciprocity violated"
+            );
         }
     }
 
@@ -640,7 +656,10 @@ mod tests {
         let w = RickerWavelet::new(12.0, grid.dt()).unwrap();
         let trace = |order: SpaceOrder| {
             let solver = Solver::new(&vel, &grid, order, SpongeBoundary::default()).unwrap();
-            solver.run_shot((15, 25), &w, &[(35, 25)]).unwrap().column(0)
+            solver
+                .run_shot((15, 25), &w, &[(35, 25)])
+                .unwrap()
+                .column(0)
         };
         let t4 = trace(SpaceOrder::Order4);
         let t8 = trace(SpaceOrder::Order8);

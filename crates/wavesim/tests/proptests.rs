@@ -7,9 +7,8 @@ use qugeo_wavesim::{Grid, RickerWavelet, Solver, SpaceOrder, SpongeBoundary, Sur
 
 /// Random two-layer velocity model within the FlatVelA range.
 fn layered_velocity() -> impl Strategy<Value = Array2> {
-    (4usize..20, 1600.0f64..3000.0, 3000.0f64..4000.0).prop_map(|(top, v1, v2)| {
-        Array2::from_fn(24, 24, |z, _| if z < top { v1 } else { v2 })
-    })
+    (4usize..20, 1600.0f64..3000.0, 3000.0f64..4000.0)
+        .prop_map(|(top, v1, v2)| Array2::from_fn(24, 24, |z, _| if z < top { v1 } else { v2 }))
 }
 
 proptest! {
