@@ -47,11 +47,6 @@ impl SpongeBoundary {
         }
     }
 
-    /// A well-tested default: 20 cells, strength 3.0.
-    pub fn default_for_modeling() -> Self {
-        Self::new(20, 3.0)
-    }
-
     /// Sponge width in cells.
     pub fn width(&self) -> usize {
         self.width
@@ -97,8 +92,9 @@ impl SpongeBoundary {
 }
 
 impl Default for SpongeBoundary {
+    /// A well-tested default: 20 cells, strength 3.0.
     fn default() -> Self {
-        Self::default_for_modeling()
+        Self::new(20, 3.0)
     }
 }
 

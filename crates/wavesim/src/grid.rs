@@ -91,11 +91,6 @@ impl Grid {
         self.nx as f64 * self.dx
     }
 
-    /// Physical depth of the model in metres.
-    pub fn extent_z(&self) -> f64 {
-        self.nz as f64 * self.dx
-    }
-
     /// Total simulated time in seconds.
     pub fn duration(&self) -> f64 {
         self.nt as f64 * self.dt
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(g.nx(), 50);
         assert_eq!(g.nz(), 60);
         assert_eq!(g.extent_x(), 500.0);
-        assert_eq!(g.extent_z(), 600.0);
         assert_eq!(g.duration(), 1.0);
     }
 

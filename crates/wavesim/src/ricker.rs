@@ -62,11 +62,6 @@ impl RickerWavelet {
         })
     }
 
-    /// Peak (dominant) frequency in Hz.
-    pub fn peak_frequency(&self) -> f64 {
-        self.peak_frequency
-    }
-
     /// Sample interval in seconds.
     pub fn dt(&self) -> f64 {
         self.dt
@@ -88,11 +83,6 @@ impl RickerWavelet {
     /// Amplitude at time step `step` (i.e. `t = step · dt`).
     pub fn sample(&self, step: usize) -> f64 {
         self.amplitude(step as f64 * self.dt)
-    }
-
-    /// The full source time series for `nt` steps.
-    pub fn time_series(&self, nt: usize) -> Vec<f64> {
-        (0..nt).map(|s| self.sample(s)).collect()
     }
 }
 
@@ -129,7 +119,7 @@ mod tests {
         // Truncation at t = 0 leaves a small residual; the integral must
         // still be orders of magnitude below the wavelet's unit peak.
         let w = RickerWavelet::new(10.0, 0.001).unwrap();
-        let sum: f64 = w.time_series(2000).iter().sum();
+        let sum: f64 = (0..2000).map(|step| w.sample(step)).sum();
         assert!(sum.abs() * w.dt() < 1e-4, "integral was {}", sum * w.dt());
     }
 
@@ -138,7 +128,7 @@ mod tests {
         let hi = RickerWavelet::new(15.0, 0.001).unwrap();
         let lo = RickerWavelet::new(8.0, 0.001).unwrap();
         // Width proxy: count samples above half the peak.
-        let count = |w: &RickerWavelet| w.time_series(2000).iter().filter(|&&v| v > 0.5).count();
+        let count = |w: &RickerWavelet| (0..2000).filter(|&step| w.sample(step) > 0.5).count();
         assert!(
             count(&lo) > count(&hi),
             "8 Hz wavelet should be wider than 15 Hz"
@@ -158,6 +148,5 @@ mod tests {
     fn sample_matches_amplitude() {
         let w = RickerWavelet::new(12.0, 0.002).unwrap();
         assert_eq!(w.sample(50), w.amplitude(0.1));
-        assert_eq!(w.time_series(3).len(), 3);
     }
 }

@@ -75,6 +75,12 @@ pub struct WavefieldSnapshot {
 /// * a free surface on top (pressure pinned to zero, as in OpenFWI), and
 /// * [`SpongeBoundary`] absorbing strips on the remaining edges.
 ///
+/// A time step is one pass over the padded grid: the sponge's damping is
+/// applied inside the stencil update, and the free surface is the top
+/// stencil halo, which no step writes. The pass is compiled twice, for
+/// the baseline instruction set and for AVX2; each shot runs the AVX2
+/// copy where the CPU has it. Both copies give the same bits.
+///
 /// # Examples
 ///
 /// ```
@@ -98,10 +104,9 @@ pub struct Solver {
     sponge: SpongeBoundary,
     /// `c² · dt²` per padded cell.
     vel2dt2: Vec<f64>,
-    /// `(padded index, factor)` of every stencil-updated cell the sponge
-    /// damps (factor ≠ 1), in index order. Halo cells are left out: no
-    /// step ever writes them, so they stay zero.
-    damped: Vec<(usize, f64)>,
+    /// Sponge damping factor per padded cell: below 1.0 inside the
+    /// sponge strips, exactly 1.0 in the interior and the halo.
+    damping: Vec<f64>,
     nx_pad: usize,
     nz_pad: usize,
     /// Offset of the interior's first cell inside the padded grid (x).
@@ -183,16 +188,14 @@ impl Solver {
 
         // Sponge damping lives inside the sponge strips, which start
         // after the stencil halo; express it on the sponge's own grid
-        // (padded minus halo) and keep the cells it changes.
+        // (padded minus halo). The halo keeps 1.0: no step writes it.
         let sponge_nx = nx_pad - 2 * halo;
         let sponge_nz = nz_pad - 2 * halo;
-        let mut damped = Vec::new();
+        let mut damping = vec![1.0; nx_pad * nz_pad];
         for iz in halo..nz_pad - halo {
             for ix in halo..nx_pad - halo {
-                let d = sponge.factor(ix - halo, iz - halo, sponge_nx, sponge_nz);
-                if d != 1.0 {
-                    damped.push((iz * nx_pad + ix, d));
-                }
+                damping[iz * nx_pad + ix] =
+                    sponge.factor(ix - halo, iz - halo, sponge_nx, sponge_nz);
             }
         }
 
@@ -201,7 +204,7 @@ impl Solver {
             order,
             sponge,
             vel2dt2,
-            damped,
+            damping,
             nx_pad,
             nz_pad,
             off_x,
@@ -300,13 +303,16 @@ impl Solver {
             .map(|&(ix, iz)| (iz + self.off_z) * self.nx_pad + (ix + self.off_x))
             .collect();
 
-        let halo = self.order.half_width();
         let coeffs = self.order.coefficients();
         let inv_dx2 = 1.0 / (self.grid.dx() * self.grid.dx());
-        let stencil: StencilStep = match self.order {
-            SpaceOrder::Order2 => stencil_step::<1>,
-            SpaceOrder::Order4 => stencil_step::<2>,
-            SpaceOrder::Order8 => stencil_step::<4>,
+        let medium = Medium {
+            vel2dt2: &self.vel2dt2,
+            damping: &self.damping,
+        };
+        let stencil = match self.order {
+            SpaceOrder::Order2 => stencil_for::<1>(),
+            SpaceOrder::Order4 => stencil_for::<2>(),
+            SpaceOrder::Order8 => stencil_for::<4>(),
         };
 
         let nt = self.grid.nt();
@@ -314,29 +320,23 @@ impl Solver {
         let mut snapshots = Vec::new();
 
         for step in 0..nt {
-            // Laplacian + leapfrog update over the non-halo region.
+            // Laplacian + leapfrog update + sponge over the non-halo
+            // region; `p_cur` becomes damped as it is read back as
+            // `prev` next step.
             stencil(
                 &mut p_next,
                 &p_cur,
                 &p_prev,
-                &self.vel2dt2,
+                medium,
                 self.nx_pad,
                 coeffs,
                 inv_dx2,
             );
 
             // Source injection (scaled like the velocity term so the
-            // update stays dimensionally consistent).
+            // update stays dimensionally consistent). The source sits in
+            // the interior, where the sponge factor is 1.0.
             p_next[src_idx] += wavelet.sample(step) * self.vel2dt2[src_idx] * inv_dx2;
-
-            // Free surface: pressure pinned to zero across the top halo.
-            p_next[..halo * self.nx_pad].fill(0.0);
-
-            // Sponge damping on both time levels (Cerjan scheme).
-            for &(idx, d) in &self.damped {
-                p_next[idx] *= d;
-                p_cur[idx] *= d;
-            }
 
             // Record receivers from the freshly computed field.
             for (r, &idx) in rec_idx.iter().enumerate() {
@@ -365,27 +365,81 @@ impl Solver {
     }
 }
 
-/// One stencil update of a padded field: `(next, cur, prev, c²·dt²,
-/// padded width, coefficients, 1/dx²)`.
-type StencilStep = fn(&mut [f64], &[f64], &[f64], &[f64], usize, &[f64], f64);
+/// The per-cell constants a step reads, over the padded grid.
+#[derive(Clone, Copy)]
+struct Medium<'a> {
+    /// `c²·dt²`.
+    vel2dt2: &'a [f64],
+    /// Sponge damping factor, 1.0 outside the sponge.
+    damping: &'a [f64],
+}
+
+/// One step of a padded field: `(next, cur, prev, medium, padded width,
+/// coefficients, 1/dx²)`.
+type StencilStep = fn(&mut [f64], &[f64], &[f64], Medium<'_>, usize, &[f64], f64);
+
+/// The compilation of [`stencil_step::<H>`](stencil_step) a shot runs:
+/// the AVX2 copy where this CPU has AVX2, else the portable one. Both
+/// give the same bits, so the choice needs no knob.
+fn stencil_for<const H: usize>() -> StencilStep {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return |next, cur, prev, medium, nx_pad, coeffs, inv_dx2| {
+            // SAFETY: this closure is returned only after AVX2 was
+            // detected on the running CPU, which is all the AVX2 copy
+            // needs beyond the portable one's contract.
+            unsafe { stencil_step_avx2::<H>(next, cur, prev, medium, nx_pad, coeffs, inv_dx2) }
+        };
+    }
+    stencil_step::<H>
+}
+
+/// [`stencil_step::<H>`](stencil_step) compiled with AVX2 enabled, so its
+/// cell loop runs four `f64` lanes per instruction. FMA stays off, so
+/// this copy has no instruction that could fuse a `*` and a `+` into one
+/// rounding.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn stencil_step_avx2<const H: usize>(
+    next: &mut [f64],
+    cur: &[f64],
+    prev: &[f64],
+    medium: Medium<'_>,
+    nx_pad: usize,
+    coeffs: &[f64],
+    inv_dx2: f64,
+) {
+    stencil_step::<H>(next, cur, prev, medium, nx_pad, coeffs, inv_dx2);
+}
 
 /// One leapfrog step of every non-halo cell for a stencil of half-width
-/// `H`, one padded row at a time.
+/// `H`, one padded row at a time, with the sponge applied in the same
+/// pass.
 ///
 /// Each row is read through equal-length slices of the centre row, the
-/// rows `±1…±H` away, `prev` and `vel2dt2`, so the cell loop carries no
-/// index arithmetic. Every cell keeps the operation order of the frozen
-/// per-cell reference loop in `tests/differential.rs`, one rounding per
-/// `*` or `+` (never a fused multiply-add), so results are bit-identical
-/// to it:
+/// rows `±1…±H` away, `prev`, `c²·dt²` and the damping factor `d`, so
+/// the cell loop carries no index arithmetic. Every cell keeps the
+/// operation order of the frozen per-cell reference loop in
+/// `tests/differential.rs`, one rounding per `*` or `+` (never a fused
+/// multiply-add), so results are bit-identical to it:
 /// `lap = (2·a₀)·c`, then `lap += aₖ·(((x₋ₖ + x₊ₖ) + z₋ₖ) + z₊ₖ)` for
 /// `k = 1..=H`, then `lap *= 1/dx²`, then
-/// `next = ((2·c) − prev) + vel2dt2·lap`.
+/// `next = (((2·c) − prev·d) + vel2dt2·lap)·d`.
+///
+/// The reference loop damps `next` and `cur` in a pass of its own after
+/// the update. Here `next` is damped as it is written, and `cur` where
+/// it is next read, as `prev` one step on: `prev·d` is the very product
+/// the reference stored. Outside the sponge `d` is 1.0, and multiplying
+/// by it is exact.
+///
+/// `#[inline(always)]` puts a copy of the body into each caller, so
+/// [`stencil_step_avx2`] compiles it for AVX2.
+#[inline(always)]
 fn stencil_step<const H: usize>(
     next: &mut [f64],
     cur: &[f64],
     prev: &[f64],
-    vel2dt2: &[f64],
+    medium: Medium<'_>,
     nx_pad: usize,
     coeffs: &[f64],
     inv_dx2: f64,
@@ -404,16 +458,18 @@ fn stencil_step<const H: usize>(
         let down: [&[f64]; H] =
             std::array::from_fn(|k| &cur[row + (k + 1) * nx_pad + H..][..width]);
         let prev = &prev[row + H..][..width];
-        let vel = &vel2dt2[row + H..][..width];
+        let vel = &medium.vel2dt2[row + H..][..width];
+        let damping = &medium.damping[row + H..][..width];
         let next = &mut next[row + H..][..width];
         for j in 0..width {
             let c = centre[j];
+            let d = damping[j];
             let mut lap = two_a0 * c;
             for k in 0..H {
                 lap += a[k] * (((left[k][j] + right[k][j]) + up[k][j]) + down[k][j]);
             }
             lap *= inv_dx2;
-            next[j] = (2.0 * c - prev[j]) + vel[j] * lap;
+            next[j] = ((2.0 * c - prev[j] * d) + vel[j] * lap) * d;
         }
     }
 }
@@ -675,5 +731,71 @@ mod tests {
             rms_diff < 0.08 * peak,
             "order-4 and order-8 diverge: rms {rms_diff:.3e} vs peak {peak:.3e}"
         );
+    }
+
+    /// Runs the portable and the AVX2 compilation of `stencil_step::<H>`
+    /// on the same random fields, for interior row widths 1–13 (every
+    /// tail length mod 4), and compares every cell of `next` on
+    /// `to_bits`, the untouched halo included.
+    #[cfg(target_arch = "x86_64")]
+    fn compilations_agree<const H: usize>(rng: &mut rand::rngs::StdRng) {
+        use rand::Rng;
+
+        assert!(std::arch::is_x86_feature_detected!("avx2"));
+        let coeffs = [SpaceOrder::Order2, SpaceOrder::Order4, SpaceOrder::Order8]
+            .into_iter()
+            .find(|order| order.half_width() == H)
+            .expect("an order of half-width H")
+            .coefficients();
+        for width in 1..=13 {
+            let nx_pad = width + 2 * H;
+            let n = nx_pad * (2 * H + 3);
+            let mut field =
+                |lo: f64, hi: f64| -> Vec<f64> { (0..n).map(|_| rng.gen_range(lo..hi)).collect() };
+            let cur = field(-1.0, 1.0);
+            let prev = field(-1.0, 1.0);
+            let vel2dt2 = field(0.0, 0.5);
+            let mut damping = field(0.0, 1.0);
+            let start = field(-1.0, 1.0);
+            for d in damping.iter_mut().step_by(2) {
+                *d = 1.0;
+            }
+            let medium = Medium {
+                vel2dt2: &vel2dt2,
+                damping: &damping,
+            };
+            let inv_dx2 = rng.gen_range(1e-3..1e-1);
+
+            let mut portable = start.clone();
+            stencil_step::<H>(&mut portable, &cur, &prev, medium, nx_pad, coeffs, inv_dx2);
+            let mut avx2 = start.clone();
+            // SAFETY: AVX2 was detected at the top of this function.
+            unsafe {
+                stencil_step_avx2::<H>(&mut avx2, &cur, &prev, medium, nx_pad, coeffs, inv_dx2)
+            };
+            for (i, (p, v)) in portable.iter().zip(&avx2).enumerate() {
+                assert_eq!(
+                    p.to_bits(),
+                    v.to_bits(),
+                    "H {H} width {width} cell {i}: {p:e} vs {v:e}"
+                );
+            }
+            assert_ne!(portable, start, "H {H} width {width}: no cell was written");
+        }
+    }
+
+    #[test]
+    fn portable_and_avx2_stencils_agree_to_the_bit() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            use rand::SeedableRng;
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+            compilations_agree::<1>(&mut rng);
+            compilations_agree::<2>(&mut rng);
+            compilations_agree::<4>(&mut rng);
+            return;
+        }
+        eprintln!("skipped: this CPU has no AVX2 copy of the stencil to compare");
     }
 }

@@ -90,19 +90,6 @@ impl Survey {
     pub fn receivers(&self) -> &[(usize, usize)] {
         &self.receivers
     }
-
-    /// A copy keeping only the sources whose indices are in `keep`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WavesimError::EmptySurvey`] if `keep` selects nothing.
-    pub fn with_sources(&self, keep: &[usize]) -> Result<Self, WavesimError> {
-        let sources: Vec<_> = keep
-            .iter()
-            .filter_map(|&i| self.sources.get(i).copied())
-            .collect();
-        Self::new(sources, self.receivers.clone())
-    }
 }
 
 /// Models a single shot on `velocity`, returning a `nt × receivers`
@@ -181,15 +168,6 @@ mod tests {
         assert!(Survey::new(vec![], vec![(0, 0)]).is_err());
         assert!(Survey::new(vec![(0, 0)], vec![]).is_err());
         assert!(Survey::surface(70, 0, 70, 1).is_err());
-    }
-
-    #[test]
-    fn with_sources_subsets() {
-        let s = Survey::openfwi_default();
-        let sub = s.with_sources(&[0, 2, 4]).unwrap();
-        assert_eq!(sub.sources().len(), 3);
-        assert_eq!(sub.sources()[1], s.sources()[2]);
-        assert!(s.with_sources(&[99]).is_err());
     }
 
     #[test]

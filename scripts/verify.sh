@@ -19,7 +19,8 @@
 # (lib, tests, examples, bins) — warnings are errors, and use
 # of deprecated items is denied too, so a public item leaves the API by
 # being deleted together with its callers, never by lingering behind a
-# `#[deprecated]` wrapper. The docs gate enforces that `cargo doc
+# `#[deprecated]` wrapper. It also checks `qugeo-wavesim`'s formatting
+# with `cargo fmt --check`. The docs gate enforces that `cargo doc
 # --no-deps` stays warning-free (warnings are promoted to errors via
 # RUSTDOCFLAGS) and that every doctest passes — run both before sending
 # any PR that touches public API or documentation.
@@ -41,15 +42,19 @@ lint_gate() {
     # can never land.
     echo "==> cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim -p qugeo-tensor -p qugeo-metrics (missing public-item docs denied)"
     cargo clippy -p qugeo -p qugeo-qsim -p qugeo-nn -p qugeo-geodata -p qugeo-wavesim -p qugeo-tensor -p qugeo-metrics --quiet -- -D warnings -D missing-docs
-    # The simulator's SIMD kernels are the crate's unsafe code: every
-    # unsafe block and impl in its lib target states its invariant.
-    echo "==> cargo clippy -p qugeo-qsim (undocumented unsafe blocks denied)"
-    cargo clippy -p qugeo-qsim --quiet -- -D warnings -D clippy::undocumented-unsafe-blocks
+    # The simulator's SIMD kernels and the FDTD stencil's AVX2 dispatch
+    # are the workspace's unsafe code: every unsafe block and impl in
+    # those lib targets states its invariant.
+    echo "==> cargo clippy -p qugeo-qsim -p qugeo-wavesim (undocumented unsafe blocks denied)"
+    cargo clippy -p qugeo-qsim -p qugeo-wavesim --quiet -- -D warnings -D clippy::undocumented-unsafe-blocks
     # The leaf crates' lib targets hold no panic site: outside input gets
     # a typed error, and each remaining site carries a local #[allow]
     # naming its invariant. --no-deps keeps the vendored shims out.
     echo "==> cargo clippy --no-deps (leaf crates: unwrap/expect/panic/unreachable denied)"
     cargo clippy --no-deps -p qugeo-tensor -p qugeo-metrics -p qugeo-wavesim -p qugeo-geodata -p qugeo-nn --lib --quiet -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -D clippy::unreachable
+    # Formatting is enforced crate by crate, starting with qugeo-wavesim.
+    echo "==> cargo fmt --check -p qugeo-wavesim"
+    cargo fmt --check -p qugeo-wavesim
 }
 
 tier1() {
